@@ -12,7 +12,6 @@ import sys
 
 from . import oracle, serialize, systems
 from .lie import make_fixture
-from .polynomials import TOP
 
 X_MODE_FLAG = {"free": "free", "0": "fixed-0", "1": "fixed-1"}
 
@@ -26,8 +25,6 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _render_system(system, fmt: str) -> str:
-    if fmt == "json":
-        return serialize.canonical_json(serialize.system_doc(system))
     if fmt == "cas":
         return serialize.system_cas(system)
     return serialize.system_text(system)
@@ -38,21 +35,28 @@ def cmd_gen(args) -> int:
         system = systems.system_finite(args.dim, X_MODE_FLAG[args.x])
     else:
         system = systems.system_truncated(args.truncate)
-    _write(_render_system(system, args.format), args.output)
+    if args.format != "json":
+        _write(_render_system(system, args.format), args.output)
+    elif args.output is None:
+        serialize.write_system_json(system, sys.stdout.write)
+    else:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            serialize.write_system_json(system, handle.write)
     return 0
 
 
 def cmd_dims(args) -> int:
     report = systems.dims_report(args.dim)
     closed_vars, closed_eqs = systems.closed_form_counts(args.dim)
-    system = systems.system_finite(args.dim, "free")
-    enum_vars = len([v for v in system.variables if v != TOP])
+    # dims_report has checked these enumerated totals against the closed forms
+    enum_vars = sum(report["h2_by_weight"].values())
+    enum_eqs = sum(report["h3_by_weight"].values())
     lines = [
         f"dimension: {args.dim}",
         f"num_vars: {report['num_vars']} "
         f"(closed form {closed_vars}, enumerated {enum_vars})",
         f"num_eqs: {report['num_eqs']} "
-        f"(closed form {closed_eqs}, enumerated {len(system.equations)})",
+        f"(closed form {closed_eqs}, enumerated {enum_eqs})",
         "h2 by weight: " + ", ".join(
             f"{w} -> {d}" for w, d in report["h2_by_weight"].items()),
         "h3 by weight: " + ", ".join(

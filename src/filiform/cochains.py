@@ -15,7 +15,6 @@ on the other.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -39,7 +38,6 @@ class AdjointCochain:
         self.label = label
         self._rule = rule
         self._memo: dict[tuple[int, ...], LieElement] = {}
-        self._lock = threading.Lock()
         self.truncation_seen = False
 
     def value_on_basis(self, tup: tuple[int, ...]) -> LieElement:
@@ -54,10 +52,9 @@ class AdjointCochain:
         if tup[0] < 1 or tup[-1] > self.dim:
             raise ValueError(f"tuple {tup} out of range 1..{self.dim}")
         val = self._rule(tup)
-        with self._lock:
-            self._memo.setdefault(tup, val)
-            if val.truncated:
-                self.truncation_seen = True
+        self._memo.setdefault(tup, val)
+        if val.truncated:
+            self.truncation_seen = True
         return val
 
     def value(self, *indices: int) -> LieElement:

@@ -47,6 +47,11 @@ def _canonical_monomial(mono: Iterable[Variable]) -> Monomial:
     return tuple(sorted((check_variable(v) for v in mono), key=var_key))
 
 
+def _term_order(term: tuple[Monomial, int]):
+    # by degree, then variable by variable in var_key order
+    return (len(term[0]), tuple(var_key(v) for v in term[0]))
+
+
 class DeformPolynomial:
     """Immutable integer polynomial over deformation variables."""
 
@@ -63,8 +68,19 @@ class DeformPolynomial:
                 acc[mono] = c
             else:
                 acc.pop(mono, None)
-        ordered = sorted(acc.items(), key=lambda t: (len(t[0]), tuple(var_key(v) for v in t[0])))
-        object.__setattr__(self, "terms", tuple(ordered))
+        object.__setattr__(self, "terms", tuple(sorted(acc.items(), key=_term_order)))
+
+    @classmethod
+    def _frozen(cls, acc: Mapping[Monomial, int]) -> "DeformPolynomial":
+        """Freeze an accumulator keyed by canonical monomials of valid variables.
+
+        The caller vouches for the keys: their variables are neither checked
+        nor re-sorted.  Zero coefficients are dropped and the terms sorted once.
+        """
+        self = object.__new__(cls)
+        terms = sorted(((m, c) for m, c in acc.items() if c), key=_term_order)
+        object.__setattr__(self, "terms", tuple(terms))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("DeformPolynomial is immutable")

@@ -82,6 +82,71 @@ def system_doc(system: EquationSystem) -> dict:
     return doc
 
 
+def write_system_json(system: EquationSystem, write) -> None:
+    """Emit canonical_json(system_doc(system)) through write, one equation at a time.
+
+    The document has a fixed shape, so it is rendered directly rather than
+    through json's indented encoder, which runs in pure Python; json only
+    quotes the free-form strings.  system_doc and canonical_json stay the
+    reference that the identity tests compare this output against.
+    """
+    # newline plus the two-space indent of each nesting depth
+    nl = ["\n" + "  " * depth for depth in range(8)]
+
+    def items(texts, depth):
+        # a list whose item texts are already rendered at the given depth
+        if not texts:
+            return "[]"
+        return "[" + nl[depth] + ("," + nl[depth]).join(texts) + nl[depth - 1] + "]"
+
+    def run(v, power):
+        fields = ['"x"', str(power)] if v == TOP else [str(v[0]), str(v[1]), str(power)]
+        return items(fields, 7)
+
+    vars_cache: dict = {}
+
+    def monomial_vars(mono):
+        # monomials recur across equations; render each one's runs once
+        text = vars_cache.get(mono)
+        if text is None:
+            runs = []
+            pos = 0
+            while pos < len(mono):
+                end = pos
+                while end < len(mono) and mono[end] == mono[pos]:
+                    end += 1
+                runs.append(run(mono[pos], end - pos))
+                pos = end
+            text = vars_cache[mono] = items(runs, 6)
+        return text
+
+    def variable(v):
+        if v == TOP:
+            return '"x"'
+        return "{" + nl[3] + f'"j": {v[0]},' + nl[3] + f'"s": {v[1]}' + nl[2] + "}"
+
+    write("{" + nl[1] + '"equations": ')
+    if not system.equations:
+        write("[]")
+    else:
+        for pos, eq in enumerate(system.equations):
+            monomials = ["{" + nl[5] + f'"coeff": "{coeff}",' + nl[5]
+                         + '"vars": ' + monomial_vars(mono) + nl[4] + "}"
+                         for mono, coeff in eq.poly.terms]
+            write(("[" if pos == 0 else ",") + nl[2]
+                  + "{" + nl[3] + '"label": ' + items([str(c) for c in eq.label], 4)
+                  + "," + nl[3] + '"monomials": ' + items(monomials, 4)
+                  + "," + nl[3] + '"tilde": ' + ("true" if eq.tilde else "false")
+                  + nl[2] + "}")
+        write(nl[1] + "]")
+    size_key = "total_max" if system.kind == "truncated" else "n"
+    write("," + nl[1] + '"kind": ' + json.dumps(system.kind, ensure_ascii=False)
+          + "," + nl[1] + f'"{size_key}": {system.size}'
+          + "," + nl[1] + '"variables": ' + items([variable(v) for v in system.variables], 2)
+          + "," + nl[1] + '"x_mode": ' + json.dumps(system.x_mode, ensure_ascii=False)
+          + "\n}\n")
+
+
 def parse_system_doc(doc) -> EquationSystem:
     kind = doc["kind"]
     size = int(doc["total_max"] if kind == "truncated" else doc["n"])
@@ -146,6 +211,13 @@ def assignment_doc(assignment) -> dict:
     return doc
 
 
+def _exact_value(raw) -> Fraction:
+    # a JSON float has already lost exactness; rationals travel as strings
+    if isinstance(raw, float):
+        raise ValueError(f"value {raw!r} is a float; write rationals as strings")
+    return Fraction(str(raw))
+
+
 def parse_assignment(doc) -> dict:
     """Assignment file body -> variable map with exact rational values."""
     if not isinstance(doc, dict) or "entries" not in doc:
@@ -154,15 +226,17 @@ def parse_assignment(doc) -> dict:
     for item in doc["entries"]:
         try:
             j, s = int(item["j"]), int(item["s"])
-            value = Fraction(str(item["value"]))
+            value = _exact_value(item["value"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad assignment entry {item!r}: {exc}") from None
         if j < 2 or s < 0:
             raise ValueError(f"entry ({j},{s}) is not a valid variable")
+        if (j, s) in out:
+            raise ValueError(f"duplicate entry for ({j},{s})")
         out[(j, s)] = value
     if "x" in doc:
         try:
-            out[TOP] = Fraction(str(doc["x"]))
+            out[TOP] = _exact_value(doc["x"])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad marker value {doc['x']!r}: {exc}") from None
     return out

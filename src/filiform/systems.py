@@ -27,28 +27,31 @@ def f_poly(j: int, q: int, r: int) -> DeformPolynomial:
     _check_pair(j, q)
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    terms = []
+    acc: dict = {}
+
+    def add(a, b, c):
+        # a pair monomial is canonical once its two variables are in order
+        mono = (a, b) if a <= b else (b, a)
+        acc[mono] = acc.get(mono, 0) + c
+
     for t in range(r + 1):
         m_hi = q + (j + t) // 2
         for l in range(j, (j + q - 1) // 2 + 1):
             for m in range(q + 1, m_hi + 1):
                 c = binomial(q - l - 1, l - j) * binomial(j + q - m + t - 1, m - q - 1)
                 if c:
-                    sign = -1 if (l - j + m - q) % 2 else 1
-                    terms.append((((l, t), (m, r - t)), sign * c))
+                    add((l, t), (m, r - t), -c if (l - j + m - q) % 2 else c)
         for l in range(j, (j + q) // 2 + 1):
             # the m = q boundary term matters: it feeds the diagonal x_{q,t} row
             for m in range(q, m_hi + 1):
                 c = binomial(q - l, l - j) * binomial(j + q - m + t, m - q)
                 if c:
-                    sign = -1 if (l - j + m - q) % 2 else 1
-                    terms.append((((l, t), (m, r - t)), sign * c))
+                    add((l, t), (m, r - t), -c if (l - j + m - q) % 2 else c)
         for m in range(j, m_hi + 1):
             c = binomial(2 * q - m + t, m - j)
             if c:
-                sign = -1 if (m - j + 1) % 2 else 1
-                terms.append((((q, t), (m, r - t)), sign * c))
-    return DeformPolynomial(terms)
+                add((q, t), (m, r - t), -c if (m - j + 1) % 2 else c)
+    return DeformPolynomial._frozen(acc)
 
 
 def g_poly(j: int, q: int, r: int) -> DeformPolynomial:
@@ -56,17 +59,21 @@ def g_poly(j: int, q: int, r: int) -> DeformPolynomial:
     _check_pair(j, q)
     if r < -1:
         raise ValueError(f"r must be >= -1, got {r}")
-    terms = []
+    acc: dict = {}
+
+    def add(l, c):
+        acc[((l, r + 1),)] = acc.get(((l, r + 1),), 0) + c
+
     for l in range(j, (j + q - 1) // 2 + 1):
         c = binomial(q - l - 1, l - j)
         if c:
-            terms.append((((l, r + 1),), (-1 if l % 2 else 1) * c))
+            add(l, (-1 if l % 2 else 1) * c)
     for l in range(j, (j + q) // 2 + 1):
         c = binomial(q - l, l - j)
         if c:
-            terms.append((((l, r + 1),), (-1 if l % 2 else 1) * c))
-    terms.append((((q, r + 1),), 1 if q % 2 else -1))
-    return DeformPolynomial(terms)
+            add(l, (-1 if l % 2 else 1) * c)
+    add(q, 1 if q % 2 else -1)
+    return DeformPolynomial._frozen(acc)
 
 
 class Equation(NamedTuple):
@@ -95,6 +102,13 @@ def _pairs_at_total(w: int, r_min: int):
                 out.append((j, q, r))
     out.sort()
     return out
+
+
+def _system_labels(n: int) -> list[tuple[int, int, int]]:
+    """Labels of system_finite(n) in system order; even n adds the r = -1 top row."""
+    top_r_min = -1 if n % 2 == 0 else 0
+    return [label for w in range(9, n + 1)
+            for label in _pairs_at_total(w, top_r_min if w == n else 0)]
 
 
 class EquationSystem:
@@ -164,20 +178,18 @@ def system_finite(n: int, x_mode: str = "free") -> EquationSystem:
     even = n % 2 == 0
     k = n // 2
     equations = []
-    for w in range(9, n + 1):
-        top_row = even and w == n
-        for j, q, r in _pairs_at_total(w, -1 if top_row else 0):
-            if top_row:
-                sign = -1 if (k - j - q) % 2 else 1
-                xg = sign * (DeformPolynomial.variable(TOP) * g_poly(j, q, r))
-                poly = (f_poly(j, q, r) + xg) if r >= 0 else xg
-                if x_mode == "fixed-0":
-                    poly = poly.substitute_top(0)
-                elif x_mode == "fixed-1":
-                    poly = poly.substitute_top(1)
-                equations.append(Equation((j, q, r), poly, True))
-            else:
-                equations.append(Equation((j, q, r), f_poly(j, q, r), False))
+    for j, q, r in _system_labels(n):
+        if even and j + 2 * q + 1 + r == n:
+            sign = -1 if (k - j - q) % 2 else 1
+            xg = sign * (DeformPolynomial.variable(TOP) * g_poly(j, q, r))
+            poly = (f_poly(j, q, r) + xg) if r >= 0 else xg
+            if x_mode == "fixed-0":
+                poly = poly.substitute_top(0)
+            elif x_mode == "fixed-1":
+                poly = poly.substitute_top(1)
+            equations.append(Equation((j, q, r), poly, True))
+        else:
+            equations.append(Equation((j, q, r), f_poly(j, q, r), False))
     variables: list[Variable] = list(variable_inventory(n))
     if even and x_mode == "free":
         variables.append(TOP)
@@ -214,22 +226,23 @@ def dims_report(n: int) -> dict:
 
     h2_by_weight maps s to the number of variables x_{j,s}; h3_by_weight
     maps r to the number of equation labels (j,q,r).  Closed forms, the
-    partition-sum identities and the direct enumeration must all agree.
+    partition-sum identities and the direct enumeration of the labels that
+    system_finite(n) builds must all agree; no polynomial is built.
     """
     num_vars, num_eqs = closed_form_counts(n)
     p2_sum = sum(partitions_exact(2, m) for m in range(2, n - 2))
-    system = system_finite(n, "free")
-    pairs = [v for v in system.variables if v != TOP]
+    pairs = variable_inventory(n)
+    labels = _system_labels(n)
     if not (num_vars == p2_sum == len(pairs)):
         raise ArithmeticError(
             f"variable counts disagree at n={n}: "
             f"closed {num_vars}, partition sum {p2_sum}, enumerated {len(pairs)}")
-    if num_eqs != len(system.equations):
+    if num_eqs != len(labels):
         raise ArithmeticError(
             f"equation counts disagree at n={n}: "
-            f"closed {num_eqs}, enumerated {len(system.equations)}")
+            f"closed {num_eqs}, enumerated {len(labels)}")
     h2 = Counter(s for _, s in pairs)
-    h3 = Counter(eq.label[2] for eq in system.equations)
+    h3 = Counter(r for _, _, r in labels)
     return {
         "num_vars": num_vars,
         "num_eqs": num_eqs,

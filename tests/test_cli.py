@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from filiform.cli import main
-from filiform.serialize import parse_system_doc
+from filiform.serialize import canonical_json, parse_system_doc, system_doc
 from filiform.systems import system_finite
 
 
@@ -64,6 +64,22 @@ def test_gen_output_file(capsys, tmp_path):
     assert target.read_text().startswith("# M_Fil(9)")
 
 
+def test_gen_json_output_file(capsys, tmp_path):
+    target = tmp_path / "system.json"
+    code, out, _ = run(capsys, "gen", "--dim", "12", "--x", "1", "--format", "json",
+                       "--output", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == canonical_json(system_doc(system_finite(12, "fixed-1")))
+
+
+def test_gen_bad_dim_creates_no_file(capsys, tmp_path):
+    target = tmp_path / "system.json"
+    code, _, err = run(capsys, "gen", "--dim", "8", "--format", "json",
+                       "--output", str(target))
+    assert code == 2 and "error:" in err
+    assert not target.exists()
+
+
 def test_gen_output_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "--dim", "9",
                        "--output", str(tmp_path / "missing" / "out.txt"))
@@ -90,6 +106,15 @@ def test_check_known_families(capsys):
         assert report["verdict"] == "verified"
         assert all(entry["value"] == "0" for entry in report["residuals"])
         assert report["jacobi"] == []
+
+
+@pytest.mark.parametrize("dim", [21, 23, 25])
+def test_check_l1_lacuna2_beyond_dim_19(capsys, dim):
+    # the series must reach every x_{m,2} of the dimension, not stop at m = 8
+    code, out, _ = run(capsys, "check", "--dim", str(dim), "--known", "L1-lacuna2")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "verified"
+    assert report["jacobi"] == []
 
 
 def test_check_mk_needs_k(capsys):

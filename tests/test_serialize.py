@@ -9,8 +9,8 @@ from filiform.polynomials import TOP
 from filiform.serialize import (assignment_doc, canonical_json, fixture_doc,
                                 fraction_str, parse_assignment,
                                 parse_system_doc, report_doc, system_cas,
-                                system_doc, system_text)
-from filiform.systems import system_finite, system_truncated
+                                system_doc, system_text, write_system_json)
+from filiform.systems import X_MODES, system_finite, system_truncated
 
 
 def test_fraction_str():
@@ -41,6 +41,25 @@ def test_system_doc_roundtrip(system):
     assert back.equations == system.equations
     # byte-level fixed point
     assert canonical_json(system_doc(back)) == canonical_json(doc)
+
+
+def _streamed(system) -> str:
+    chunks = []
+    write_system_json(system, chunks.append)
+    return "".join(chunks)
+
+
+@pytest.mark.parametrize("n", range(9, 25))
+def test_streamed_system_json_is_canonical(n):
+    for x_mode in X_MODES:
+        system = system_finite(n, x_mode)
+        assert _streamed(system) == canonical_json(system_doc(system)), x_mode
+
+
+@pytest.mark.parametrize("total_max", range(9, 21))
+def test_streamed_truncated_json_is_canonical(total_max):
+    system = system_truncated(total_max)
+    assert _streamed(system) == canonical_json(system_doc(system))
 
 
 def test_system_doc_shape():
@@ -107,6 +126,21 @@ def test_parse_assignment_errors():
         parse_assignment({"entries": [{"j": 2, "s": 0, "value": "ten"}]})
     with pytest.raises(ValueError):
         parse_assignment({"entries": [], "x": "?"})
+
+
+def test_parse_assignment_rejects_duplicate_entries():
+    entries = [{"j": 2, "s": 0, "value": "1"}, {"j": 2, "s": 0, "value": "2"}]
+    with pytest.raises(ValueError, match="duplicate"):
+        parse_assignment({"entries": entries})
+
+
+def test_parse_assignment_rejects_floats():
+    with pytest.raises(ValueError, match="float"):
+        parse_assignment({"entries": [{"j": 2, "s": 0, "value": 0.5}]})
+    with pytest.raises(ValueError, match="float"):
+        parse_assignment({"entries": [], "x": 0.5})
+    # exact JSON integers stay accepted
+    assert parse_assignment({"entries": [{"j": 2, "s": 0, "value": 3}]}) == {(2, 0): 3}
 
 
 def test_report_verdicts():

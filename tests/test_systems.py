@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,25 @@ def test_dims_report_slices():
                                  - partitions_exact(3, n - 6))
         assert sum(report["h2_by_weight"].values()) == report["num_vars"]
         assert sum(report["h3_by_weight"].values()) == report["num_eqs"]
+
+
+def test_dims_report_counts_the_built_labels():
+    for n in range(9, 17):
+        system = system_finite(n)
+        report = dims_report(n)
+        assert report["num_eqs"] == len(system)
+        assert report["h3_by_weight"] == dict(sorted(
+            Counter(eq.label[2] for eq in system).items()))
+
+
+def test_dims_report_builds_no_polynomial(monkeypatch):
+    def refuse(*label):
+        raise AssertionError(f"dims_report built f_poly{label}")
+
+    monkeypatch.setattr("filiform.systems.f_poly", refuse)
+    monkeypatch.setattr("filiform.systems.g_poly", refuse)
+    for n in range(9, 41):
+        assert sum(dims_report(n)["h3_by_weight"].values()) == closed_form_counts(n)[1]
 
 
 def test_label_count_identities():
