@@ -12,6 +12,7 @@ import sys
 
 from . import oracle, serialize, systems
 from .lie import make_fixture
+from .polynomials import var_key, var_text
 
 X_MODE_FLAG = {"free": "free", "0": "fixed-0", "1": "fixed-1"}
 
@@ -70,8 +71,9 @@ def _load_assignment(args) -> dict:
     if args.known is not None:
         if args.known == "mk" and args.k is None:
             raise ValueError("--known mk needs --k")
-        return oracle.known_solution(
-            args.known, 1, k=args.k, bound=(args.dim - 1) // 2)
+        # the largest m with x_{m,0} (L1) or x_{m,2} (L1-lacuna2) in the inventory
+        bound = (args.dim - 3) // 2 if args.known == "L1-lacuna2" else (args.dim - 1) // 2
+        return oracle.known_solution(args.known, 1, k=args.k, bound=bound)
     with open(args.assign, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
@@ -83,6 +85,10 @@ def _load_assignment(args) -> dict:
 def cmd_check(args) -> int:
     assignment = _load_assignment(args)
     system = systems.system_finite(args.dim, "free")
+    stray = set(assignment) - set(system.variables)
+    if stray:
+        names = ", ".join(var_text(v) for v in sorted(stray, key=var_key))
+        raise ValueError(f"variables outside the inventory of dimension {args.dim}: {names}")
     residuals = oracle.evaluate_system(system, assignment)
     structure = oracle.deformed_structure(assignment, args.dim)
     defects = oracle.jacobi_scan(structure)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .combinatorics import binomial
-from .forms import ExtForm, dminus1, omega
+from .forms import ExtForm, _sort_with_sign, dminus1, omega
 from .lie import LieElement, LieStructure
 
 
@@ -38,7 +38,6 @@ class AdjointCochain:
         self.label = label
         self._rule = rule
         self._memo: dict[tuple[int, ...], LieElement] = {}
-        self.truncation_seen = False
 
     def value_on_basis(self, tup: tuple[int, ...]) -> LieElement:
         """Value on a strictly increasing tuple (cached)."""
@@ -52,50 +51,28 @@ class AdjointCochain:
         if tup[0] < 1 or tup[-1] > self.dim:
             raise ValueError(f"tuple {tup} out of range 1..{self.dim}")
         val = self._rule(tup)
-        self._memo.setdefault(tup, val)
-        if val.truncated:
-            self.truncation_seen = True
+        self._memo[tup] = val
         return val
 
     def value(self, *indices: int) -> LieElement:
         """Value on any index tuple; repeats give zero, order gives the sign."""
         if len(indices) != self.degree:
             raise ValueError(f"expected {self.degree} indices, got {len(indices)}")
-        if len(set(indices)) != len(indices):
+        tup, sign = _sort_with_sign(indices)
+        if not sign:
             return LieElement.zero()
-        order = sorted(range(len(indices)), key=lambda p: indices[p])
-        sign = _permutation_sign(order)
-        base = self.value_on_basis(tuple(sorted(indices)))
+        base = self.value_on_basis(tup)
         return base if sign == 1 else -base
 
     def value_with_element(self, elem: LieElement, rest: Sequence[int]) -> LieElement:
         """Linear extension in the first slot: value(elem, *rest)."""
-        out = LieElement.zero(elem.truncated)
-        for idx, coeff in elem.terms:
-            out = out + self.value(idx, *rest).scaled(coeff)
-        return out
+        return LieElement._sum(((coeff, self.value(idx, *rest)) for idx, coeff in elem.terms),
+                               elem.truncated)
 
     def __repr__(self) -> str:
         tag = self.label or "cochain"
         w = "?" if self.weight is None else self.weight
         return f"<AdjointCochain {tag} deg={self.degree} weight={w} n={self.dim}>"
-
-
-def _permutation_sign(order: list[int]) -> int:
-    seen = [False] * len(order)
-    sign = 1
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            p = order[p]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def psi2_value(j: int, s: int, n: int, k: int, m: int) -> LieElement:
@@ -149,22 +126,7 @@ def psi2(j: int, s: int, n: int, method: str = "table") -> AdjointCochain:
                 return LieElement.zero()
             return psi2_value(j, s, n, k, m)
     elif method == "series":
-        forms = _shift_tower(omega((j, j + 1)), n - (2 * j + 1 + s))
-
-        def rule(tup: tuple[int, ...]) -> LieElement:
-            k, m = tup
-            if k == 1:
-                return LieElement.zero()
-            step = k + m - (2 * j + 1)
-            if step < 0:
-                return LieElement.zero()
-            if step >= len(forms):
-                # series cut at the cutoff: the target would exceed n
-                return LieElement.zero(truncated=True)
-            coeff = forms[step].coefficient((k, m))
-            if not coeff:
-                return LieElement.zero()
-            return LieElement.basis(k + m + s, coeff)
+        rule = _series_rule(omega((j, j + 1)), 2 * j + 1, s, n)
     else:
         raise ValueError("method must be 'table' or 'series'")
     return AdjointCochain(2, n, rule, weight=s, label=f"Psi_{{{j},{s}}}")
@@ -177,12 +139,32 @@ def psi_top(k: int) -> AdjointCochain:
     return psi2(k, -1, 2 * k)
 
 
-def _shift_tower(base: ExtForm, count: int) -> list[ExtForm]:
-    """[base, dminus1(base), dminus1^2(base), ...] with count+1 entries."""
+def _series_rule(base: ExtForm, base_weight: int, s: int, n: int):
+    """Cochain values read off the shift tower base, dminus1(base), ...
+
+    A basis tuple of input weight base_weight + l takes its coefficient in
+    dminus1^l(base), paired with e_{base_weight + l + s}; tuples with e_1 or
+    below base_weight give zero.
+    """
     forms = [base]
-    for _ in range(max(0, count)):
+    for _ in range(max(0, n - base_weight - s)):
         forms.append(dminus1(forms[-1]))
-    return forms
+
+    def rule(tup: tuple[int, ...]) -> LieElement:
+        if tup[0] == 1:
+            return LieElement.zero()
+        step = sum(tup) - base_weight
+        if step < 0:
+            return LieElement.zero()
+        if step >= len(forms):
+            # series cut at the cutoff: the target would exceed n
+            return LieElement.zero(truncated=True)
+        coeff = forms[step].coefficient(tup)
+        if not coeff:
+            return LieElement.zero()
+        return LieElement.basis(sum(tup) + s, coeff)
+
+    return rule
 
 
 def psi3(i: int, j: int, s: int, n: int) -> AdjointCochain:
@@ -198,21 +180,7 @@ def psi3(i: int, j: int, s: int, n: int) -> AdjointCochain:
     base_weight = i + 2 * j + 1
     if base_weight + s > n:
         raise ValueError(f"label (i={i}, j={j}, s={s}) does not fit below cutoff {n}")
-    forms = _shift_tower(omega((i, j, j + 1)), n - base_weight - s)
-
-    def rule(tup: tuple[int, ...]) -> LieElement:
-        if tup[0] == 1:
-            return LieElement.zero()
-        step = sum(tup) - base_weight
-        if step < 0:
-            return LieElement.zero()
-        if step >= len(forms):
-            return LieElement.zero(truncated=True)
-        coeff = forms[step].coefficient(tup)
-        if not coeff:
-            return LieElement.zero()
-        return LieElement.basis(sum(tup) + s, coeff)
-
+    rule = _series_rule(omega((i, j, j + 1)), base_weight, s, n)
     return AdjointCochain(3, n, rule, weight=s, label=f"Psi_{{{i},{j},{s}}}")
 
 
@@ -228,12 +196,12 @@ def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
     n = c.dim
 
     def rule(tup: tuple[int, ...]) -> LieElement:
-        out = LieElement.zero()
+        parts = []
         for p, idx in enumerate(tup):
             rest = tup[:p] + tup[p + 1:]
             inner = c.value_on_basis(rest)
             term = base.bracket(LieElement.basis(idx), inner).clipped(n)
-            out = out + (term if p % 2 == 0 else -term)
+            parts.append((-1 if p % 2 else 1, term))
         for p in range(len(tup)):
             for r in range(p + 1, len(tup)):
                 br = base.bracket_basis(tup[p], tup[r]).clipped(n)
@@ -242,8 +210,8 @@ def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
                 rest = tuple(v for t, v in enumerate(tup) if t != p and t != r)
                 term = c.value_with_element(br, rest)
                 # 1-based positions: sign (-1)^{(p+1)+(r+1)} = (-1)^{p+r}
-                out = out + (term if (p + r) % 2 == 0 else -term)
-        return out
+                parts.append((-1 if (p + r) % 2 else 1, term))
+        return LieElement._sum(parts)
 
     label = f"d({c.label})" if c.label else "d(cochain)"
     return AdjointCochain(c.degree + 1, n, rule, weight=c.weight, label=label)
@@ -263,12 +231,9 @@ def nr_bracket22(a: AdjointCochain, b: AdjointCochain) -> AdjointCochain:
 
     def rule(tup: tuple[int, ...]) -> LieElement:
         x, y, z = tup
-        out = LieElement.zero()
-        for f, g in ((a, b), (b, a)):
-            out = out + f.value_with_element(g.value(x, y), (z,))
-            out = out + f.value_with_element(g.value(y, z), (x,))
-            out = out + f.value_with_element(g.value(z, x), (y,))
-        return out
+        return LieElement._sum((1, f.value_with_element(g.value(u, v), (w,)))
+                               for f, g in ((a, b), (b, a))
+                               for u, v, w in ((x, y, z), (y, z, x), (z, x, y)))
 
     label = f"[{a.label or 'a'},{b.label or 'b'}]"
     return AdjointCochain(3, a.dim, rule, weight=weight, label=label)
@@ -283,10 +248,7 @@ def linear_combination(parts: Iterable[tuple[Fraction, AdjointCochain]], degree:
             raise ValueError("mixed degrees or cutoffs in linear combination")
 
     def rule(tup: tuple[int, ...]) -> LieElement:
-        out = LieElement.zero()
-        for c, f in parts:
-            out = out + f.value_on_basis(tup).scaled(c)
-        return out
+        return LieElement._sum((c, f.value_on_basis(tup)) for c, f in parts)
 
     return AdjointCochain(degree, n, rule, weight=None, label="sum")
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .sparse import SparseCombination
+
 
 def _sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Sort a wedge index sequence, returning (sorted, sign); sign 0 on repeats."""
@@ -36,33 +38,22 @@ def _sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(seq), sign
 
 
-class ExtForm:
+class ExtForm(SparseCombination):
     """Immutable exterior form; terms map sorted index tuples to rationals."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Iterable[tuple[tuple[int, ...], Fraction]] = ()):
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in terms:
-            for idx in mono:
-                if idx < 1:
-                    raise ValueError(f"dual index must be >= 1, got {idx}")
-            sorted_mono, sign = _sort_with_sign(tuple(mono))
-            if sign == 0:
-                continue
-            c = acc.get(sorted_mono, 0) + sign * Fraction(coeff)
-            if c:
-                acc[sorted_mono] = c
-            else:
-                acc.pop(sorted_mono, None)
-        object.__setattr__(self, "terms", tuple(sorted(acc.items(), key=lambda t: (len(t[0]), t[0]))))
+    @staticmethod
+    def _order(term):
+        return len(term[0]), term[0]
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtForm is immutable")
-
-    @classmethod
-    def zero(cls) -> "ExtForm":
-        return cls()
+    @staticmethod
+    def _canonical(mono, coeff) -> tuple[tuple[int, ...], Fraction]:
+        for idx in mono:
+            if idx < 1:
+                raise ValueError(f"dual index must be >= 1, got {idx}")
+        mono, sign = _sort_with_sign(tuple(mono))
+        return mono, sign * Fraction(coeff)
 
     @classmethod
     def monomial(cls, indices: Iterable[int], coeff=1) -> "ExtForm":
@@ -74,16 +65,7 @@ class ExtForm:
 
     def coefficient(self, indices: Iterable[int]) -> Fraction:
         mono, sign = _sort_with_sign(tuple(indices))
-        if sign == 0:
-            return Fraction(0)
-        for m, c in self.terms:
-            if m == mono:
-                return sign * c
-        return Fraction(0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+        return sign * self._coefficient(mono, Fraction(0))
 
     def monomials(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         return iter(self.terms)
@@ -94,51 +76,14 @@ class ExtForm:
     def weights(self) -> set[int]:
         return {sum(m) for m, _ in self.terms}
 
-    def __add__(self, other: "ExtForm") -> "ExtForm":
-        return ExtForm(self.terms + other.terms)
-
-    def __sub__(self, other: "ExtForm") -> "ExtForm":
-        return self + (-other)
-
-    def __neg__(self) -> "ExtForm":
-        return ExtForm((m, -c) for m, c in self.terms)
-
     def scaled(self, factor) -> "ExtForm":
-        factor = Fraction(factor)
-        if not factor:
-            return ExtForm()
-        return ExtForm((m, c * factor) for m, c in self.terms)
+        return self._sum(((Fraction(factor), self),))
 
     def __rmul__(self, factor) -> "ExtForm":
         return self.scaled(factor)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtForm):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, c in self.terms:
-            body = "^".join(f"e{i}" for i in mono)
-            if c == 1:
-                frag = body
-            elif c == -1:
-                frag = f"-{body}"
-            else:
-                frag = f"{c}*{body}"
-            if parts and not frag.startswith("-"):
-                parts.append("+ " + frag)
-            elif parts:
-                parts.append("- " + frag[1:])
-            else:
-                parts.append(frag)
-        return " ".join(parts)
+        return self._render(lambda mono: "^".join(f"e{i}" for i in mono))
 
 
 def wedge(a: ExtForm, b: ExtForm) -> ExtForm:
@@ -162,30 +107,34 @@ def d1(f: ExtForm) -> ExtForm:
     return ExtForm(out)
 
 
+def _shift_series(prefix: ExtForm, start: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Terms of sum_l (-1)^l d1^l(prefix) ^ e^{start + l}.
+
+    start must exceed every index of prefix, so each appended index lands
+    last and the monomials stay sorted.  The sum is finite because d1 is
+    nilpotent on any fixed monomial.
+    """
+    l = 0
+    while not prefix.is_zero:
+        sign = -1 if l % 2 else 1
+        for mono, c in prefix.terms:
+            yield mono + (start + l,), sign * c
+        prefix = d1(prefix)
+        l += 1
+
+
 def dminus1(f: ExtForm) -> ExtForm:
     """Right inverse of d1 on e^1-free forms.
 
     On a monomial xi ^ e^i (xi supported below i):
         sum_l (-1)^l d1^l(xi) ^ e^{i+1+l},
-    and e^i -> e^{i+1} in degree one.  The sum is finite because d1 is
-    nilpotent on any fixed monomial.
+    which is e^i -> e^{i+1} in degree one, where xi is the empty monomial.
     """
-    out = ExtForm()
-    for mono, c in f.terms:
+    for mono, _ in f.terms:
         if 1 in mono:
             raise ValueError("dminus1 is undefined on forms containing e^1")
-        if len(mono) == 1:
-            out = out + ExtForm.monomial((mono[0] + 1,), c)
-            continue
-        prefix = ExtForm.monomial(mono[:-1], c)
-        top = mono[-1]
-        l = 0
-        while not prefix.is_zero:
-            shifted = ExtForm((m + (top + 1 + l,), pc) for m, pc in prefix.terms)
-            out = out + (shifted if l % 2 == 0 else -shifted)
-            prefix = d1(prefix)
-            l += 1
-    return out
+    return ExtForm(term for mono, c in f.terms
+                   for term in _shift_series(ExtForm.monomial(mono[:-1], c), mono[-1] + 1))
 
 
 def d_trivial(f: ExtForm) -> ExtForm:
@@ -221,13 +170,4 @@ def omega(indices: Iterable[int]) -> ExtForm:
         raise ValueError("label indices must be strictly increasing")
     if idx[-1] != idx[-2] + 1:
         raise ValueError("label must end with consecutive indices (i_q, i_q + 1)")
-    prefix = ExtForm.monomial(idx[:-1])
-    start = idx[-1]
-    out = ExtForm()
-    l = 0
-    while not prefix.is_zero:
-        shifted = ExtForm((m + (start + l,), pc) for m, pc in prefix.terms)
-        out = out + (shifted if l % 2 == 0 else -shifted)
-        prefix = d1(prefix)
-        l += 1
-    return out
+    return ExtForm(_shift_series(ExtForm.monomial(idx[:-1]), idx[-1]))

@@ -12,8 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+from .sparse import SparseCombination
 
-class LieElement:
+
+class LieElement(SparseCombination):
     """Immutable rational vector sum(c_i * e_i), plus a truncation marker.
 
     The marker records that terms beyond some cutoff were discarded while
@@ -21,94 +23,57 @@ class LieElement:
     elements are equal iff their surviving terms agree.
     """
 
-    __slots__ = ("terms", "truncated")
+    # a class default: only the rare instances that lost terms carry their own
+    truncated = False
 
-    def __init__(self, terms: Iterable[tuple[int, Fraction]] = (), truncated: bool = False):
-        acc: dict[int, Fraction] = {}
-        for index, coeff in terms:
-            if index < 1:
-                raise ValueError(f"basis index must be >= 1, got {index}")
-            c = acc.get(index, 0) + Fraction(coeff)
-            if c:
-                acc[index] = c
-            else:
-                acc.pop(index, None)
-        object.__setattr__(self, "terms", tuple(sorted(acc.items())))
-        object.__setattr__(self, "truncated", bool(truncated))
+    def __new__(cls, terms: Iterable[tuple[int, Fraction]] = (), truncated: bool = False):
+        return super().__new__(cls, terms)._flagged(truncated)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LieElement is immutable")
+    @staticmethod
+    def _canonical(index: int, coeff) -> tuple[int, Fraction]:
+        if index < 1:
+            raise ValueError(f"basis index must be >= 1, got {index}")
+        return index, Fraction(coeff)
+
+    def _flagged(self, truncated) -> "LieElement":
+        if truncated:
+            object.__setattr__(self, "truncated", True)
+        return self
+
+    @classmethod
+    def _sum(cls, parts, truncated: bool = False) -> "LieElement":
+        """As for any sparse sum; truncated if the caller or any part says so."""
+        parts = tuple(parts)
+        return super()._sum(parts)._flagged(truncated or any(e.truncated for _, e in parts))
 
     @classmethod
     def zero(cls, truncated: bool = False) -> "LieElement":
-        return cls((), truncated)
+        return cls._frozen({})._flagged(truncated)
 
     @classmethod
     def basis(cls, index: int, coeff=1) -> "LieElement":
-        return cls(((index, Fraction(coeff)),))
+        return cls(((index, coeff),))
 
     def coefficient(self, index: int) -> Fraction:
-        for i, c in self.terms:
-            if i == index:
-                return c
-        return Fraction(0)
+        return self._coefficient(index, Fraction(0))
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        return LieElement(self.terms + other.terms, self.truncated or other.truncated)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + (-other)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(((i, -c) for i, c in self.terms), self.truncated)
-
     def scaled(self, factor) -> "LieElement":
-        factor = Fraction(factor)
-        if not factor:
-            return LieElement.zero(self.truncated)
-        return LieElement(((i, c * factor) for i, c in self.terms), self.truncated)
+        return self._sum(((Fraction(factor), self),))
 
     def __rmul__(self, factor) -> "LieElement":
         return self.scaled(factor)
 
     def clipped(self, cutoff: int) -> "LieElement":
         """Drop terms with index > cutoff, flagging if anything was lost."""
-        kept = tuple((i, c) for i, c in self.terms if i <= cutoff)
-        return LieElement(kept, self.truncated or len(kept) < len(self.terms))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
+        if not self.terms or self.terms[-1][0] <= cutoff:
+            return self
+        return self._frozen({i: c for i, c in self.terms if i <= cutoff})._flagged(True)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, c in self.terms:
-            if c == 1:
-                mon = f"e{i}"
-            elif c == -1:
-                mon = f"-e{i}"
-            else:
-                mon = f"{c}*e{i}"
-            if parts and not mon.startswith("-"):
-                parts.append("+ " + mon)
-            elif parts:
-                parts.append("- " + mon[1:])
-            else:
-                parts.append(mon)
-        return " ".join(parts)
+        return self._render(lambda i: f"e{i}")
 
 
 ZERO = LieElement.zero()
@@ -144,18 +109,15 @@ class LieStructure:
         return -self._table.get((j, i), ZERO)
 
     def bracket(self, a: LieElement, b: LieElement) -> LieElement:
-        out = LieElement.zero(a.truncated or b.truncated)
-        for i, ca in a.terms:
-            for j, cb in b.terms:
-                out = out + self.bracket_basis(i, j).scaled(ca * cb)
-        return out
+        return LieElement._sum(((ca * cb, self.bracket_basis(i, j))
+                                for i, ca in a.terms for j, cb in b.terms),
+                               a.truncated or b.truncated)
 
     def jacobi_defect(self, i: int, j: int, k: int) -> LieElement:
         """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
         ei, ej, ek = (LieElement.basis(m) for m in (i, j, k))
-        return (self.bracket(self.bracket(ei, ej), ek)
-                + self.bracket(self.bracket(ej, ek), ei)
-                + self.bracket(self.bracket(ek, ei), ej))
+        return LieElement._sum((1, self.bracket(self.bracket(x, y), z))
+                               for x, y, z in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)))
 
     def relations(self) -> Iterator[tuple[int, int, LieElement]]:
         """Stored nonzero relations, sorted by (i, j)."""

@@ -105,19 +105,19 @@ def oracle_coefficient(j: int, q: int, r: int,
     # pairs above the target index cannot reach e_w: skip, do not truncate
     usable = [v for v in inv if v == TOP or 2 * v[0] + 1 + v[1] <= w]
 
-    acc = DeformPolynomial.zero()
+    terms = []
     for a, b, c in ((j, q, q + 1), (q, q + 1, j), (q + 1, j, q)):
-        inner: dict[int, DeformPolynomial] = {}
-        for v in usable:
-            for idx, coeff in _pair_value(v, a, b, w).terms:
-                contrib = int(coeff) * DeformPolynomial.variable(v)
-                inner[idx] = inner.get(idx, DeformPolynomial.zero()) + contrib
-        for idx, poly in inner.items():
+        # inner[idx]: the linear form psi(e_a, e_b) at e_idx, as (u, coeff) pairs
+        inner: dict[int, list] = {}
+        for u in usable:
+            for idx, coeff in _pair_value(u, a, b, w).terms:
+                inner.setdefault(idx, []).append((u, int(coeff)))
+        for idx, row in inner.items():
             for v in usable:
                 coeff = _pair_value(v, idx, c, w).coefficient(w)
                 if coeff:
-                    acc = acc + int(coeff) * (DeformPolynomial.variable(v) * poly)
-    return acc
+                    terms.extend(((v, u), int(coeff) * cu) for u, cu in row)
+    return DeformPolynomial(terms)
 
 
 def known_solution(name: str, t=1, k: int | None = None,
@@ -165,15 +165,16 @@ def deformed_structure(assignment: Mapping[Variable, Fraction], n: int,
     support = {v: Fraction(a) for v, a in assignment.items() if a}
     if TOP in support and n % 2:
         raise ValueError("the marker x needs an even dimension")
+    cocycles = []
+    for v, coeff in support.items():
+        l, t = (n // 2, -1) if v == TOP else v
+        if v == TOP or 2 * l + 1 + t <= n:  # a sill above the cutoff is unreachable
+            cocycles.append((coeff, l, t))
     relations = {(1, i): LieElement.basis(i + 1) for i in range(2, n)}
     for a in range(2, n):
         for b in range(a + 1, n + 1):
-            elem = LieElement.zero()
-            for v, coeff in support.items():
-                l, t = (n // 2, -1) if v == TOP else v
-                if v != TOP and 2 * l + 1 + t > n:
-                    continue  # sill below cutoff is unreachable from (a, b)
-                elem = elem + psi2_value(l, t, n, a, b).scaled(coeff)
+            elem = LieElement._sum((coeff, psi2_value(l, t, n, a, b))
+                                   for coeff, l, t in cocycles)
             if not elem.is_zero:
                 relations[(a, b)] = elem
     return LieStructure(n, relations, name)

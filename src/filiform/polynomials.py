@@ -9,7 +9,10 @@ Assignments map variables to rationals and evaluation is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping, Union
+
+from .sparse import SparseCombination
 
 Variable = Union[tuple[int, int], str]
 Monomial = tuple[Variable, ...]
@@ -43,51 +46,49 @@ def var_cas(v: Variable) -> str:
     return "x" if v == TOP else f"x_{v[0]}_{v[1]}"
 
 
+class _AfterPairs:
+    """The marker's stand-in in the term order: it compares above every pair."""
+
+    __slots__ = ()
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __gt__(self, other) -> bool:
+        return other is not self
+
+
+_AFTER_PAIRS = _AfterPairs()
+
+
+def monomial_runs(mono: Monomial) -> list[tuple[Variable, int]]:
+    """(variable, power) for each run of equal variables in a canonical monomial."""
+    return [(v, sum(1 for _ in run)) for v, run in groupby(mono)]
+
+
 def _canonical_monomial(mono: Iterable[Variable]) -> Monomial:
     return tuple(sorted((check_variable(v) for v in mono), key=var_key))
 
 
-def _term_order(term: tuple[Monomial, int]):
-    # by degree, then variable by variable in var_key order
-    return (len(term[0]), tuple(var_key(v) for v in term[0]))
-
-
-class DeformPolynomial:
+class DeformPolynomial(SparseCombination):
     """Immutable integer polynomial over deformation variables."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Iterable[tuple[Monomial, int]] = ()):
-        acc: dict[Monomial, int] = {}
-        for mono, coeff in terms:
-            if coeff != int(coeff):
-                raise ValueError(f"coefficient {coeff!r} is not an integer")
-            mono = _canonical_monomial(mono)
-            c = acc.get(mono, 0) + int(coeff)
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-        object.__setattr__(self, "terms", tuple(sorted(acc.items(), key=_term_order)))
+    @staticmethod
+    def _order(term: tuple[Monomial, int]):
+        # by degree, then variable by variable in var_key order: pairs compare
+        # as their var_key does, and the marker needs a stand-in above them
+        mono = term[0]
+        if TOP in mono:
+            mono = tuple(_AFTER_PAIRS if v == TOP else v for v in mono)
+        return len(mono), mono
 
-    @classmethod
-    def _frozen(cls, acc: Mapping[Monomial, int]) -> "DeformPolynomial":
-        """Freeze an accumulator keyed by canonical monomials of valid variables.
-
-        The caller vouches for the keys: their variables are neither checked
-        nor re-sorted.  Zero coefficients are dropped and the terms sorted once.
-        """
-        self = object.__new__(cls)
-        terms = sorted(((m, c) for m, c in acc.items() if c), key=_term_order)
-        object.__setattr__(self, "terms", tuple(terms))
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DeformPolynomial is immutable")
-
-    @classmethod
-    def zero(cls) -> "DeformPolynomial":
-        return cls()
+    @staticmethod
+    def _canonical(mono, coeff) -> tuple[Monomial, int]:
+        if coeff != int(coeff):
+            raise ValueError(f"coefficient {coeff!r} is not an integer")
+        return _canonical_monomial(mono), int(coeff)
 
     @classmethod
     def variable(cls, v: Variable) -> "DeformPolynomial":
@@ -97,16 +98,8 @@ class DeformPolynomial:
     def term(cls, coeff: int, *variables: Variable) -> "DeformPolynomial":
         return cls(((tuple(variables), coeff),))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, *variables: Variable) -> int:
-        mono = _canonical_monomial(variables)
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
+        return self._coefficient(_canonical_monomial(variables))
 
     def variables(self) -> set[Variable]:
         return {v for m, _ in self.terms for v in m}
@@ -114,26 +107,12 @@ class DeformPolynomial:
     def degree(self) -> int:
         return max((len(m) for m, _ in self.terms), default=0)
 
-    def __add__(self, other: "DeformPolynomial") -> "DeformPolynomial":
-        return DeformPolynomial(self.terms + other.terms)
-
-    def __sub__(self, other: "DeformPolynomial") -> "DeformPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "DeformPolynomial":
-        return DeformPolynomial((m, -c) for m, c in self.terms)
-
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return DeformPolynomial()
-            return DeformPolynomial((m, c * other) for m, c in self.terms)
+            return self._sum(((other, self),))
         if isinstance(other, DeformPolynomial):
-            out = []
-            for ma, ca in self.terms:
-                for mb, cb in other.terms:
-                    out.append((ma + mb, ca * cb))
-            return DeformPolynomial(out)
+            return DeformPolynomial((ma + mb, ca * cb)
+                                    for ma, ca in self.terms for mb, cb in other.terms)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -183,44 +162,19 @@ class DeformPolynomial:
                   for v, a in assignment.items()}
         return self.evaluate(scaled)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DeformPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
     def text(self) -> str:
         """Rendering like 3*x_{3,0}^2 - x_{3,0}*x_{4,0}."""
-        return self._render(var_text)
+        return self._render(lambda mono: self._monomial_text(mono, var_text))
 
     def cas(self) -> str:
         """Rendering over plain identifiers, e.g. 3*x_3_0^2 - x_3_0*x_4_0."""
-        return self._render(var_cas)
+        return self._render(lambda mono: self._monomial_text(mono, var_cas))
 
-    def _render(self, name) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.terms:
-            factors = []
-            pos = 0
-            while pos < len(mono):
-                run = pos
-                while run < len(mono) and mono[run] == mono[pos]:
-                    run += 1
-                power = run - pos
-                factors.append(name(mono[pos]) + (f"^{power}" if power > 1 else ""))
-                pos = run
-            body = "*".join(factors) if factors else "1"
-            mag = abs(coeff)
-            frag = body if mag == 1 and factors else f"{mag}*{body}" if factors else str(mag)
-            if not parts:
-                parts.append(frag if coeff > 0 else f"-{frag}")
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + frag)
-        return " ".join(parts)
+    @staticmethod
+    def _monomial_text(mono: Monomial, name) -> str:
+        """name(v)^power over the runs of equal variables, joined by '*'."""
+        return "*".join(name(v) + (f"^{power}" if power > 1 else "")
+                        for v, power in monomial_runs(mono))
 
     def __repr__(self) -> str:
         return self.text()

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .lie import LieElement, LieStructure
-from .polynomials import TOP, DeformPolynomial, var_cas, var_key, var_text
+from .polynomials import TOP, DeformPolynomial, monomial_runs, var_cas, var_key
 from .systems import Equation, EquationSystem
 
 
@@ -37,19 +37,10 @@ def _variable_from_json(item):
 
 
 def _monomials_json(poly: DeformPolynomial) -> list:
-    out = []
-    for mono, coeff in poly.terms:
-        packed = []
-        pos = 0
-        while pos < len(mono):
-            run = pos
-            while run < len(mono) and mono[run] == mono[pos]:
-                run += 1
-            v = mono[pos]
-            packed.append(["x", run - pos] if v == TOP else [v[0], v[1], run - pos])
-            pos = run
-        out.append({"coeff": str(coeff), "vars": packed})
-    return out
+    return [{"coeff": str(coeff),
+             "vars": [["x", power] if v == TOP else [v[0], v[1], power]
+                      for v, power in monomial_runs(mono)]}
+            for mono, coeff in poly.terms]
 
 
 def _monomials_from_json(items) -> DeformPolynomial:
@@ -109,15 +100,7 @@ def write_system_json(system: EquationSystem, write) -> None:
         # monomials recur across equations; render each one's runs once
         text = vars_cache.get(mono)
         if text is None:
-            runs = []
-            pos = 0
-            while pos < len(mono):
-                end = pos
-                while end < len(mono) and mono[end] == mono[pos]:
-                    end += 1
-                runs.append(run(mono[pos], end - pos))
-                pos = end
-            text = vars_cache[mono] = items(runs, 6)
+            text = vars_cache[mono] = items([run(v, power) for v, power in monomial_runs(mono)], 6)
         return text
 
     def variable(v):
@@ -225,10 +208,12 @@ def parse_assignment(doc) -> dict:
     out = {}
     for item in doc["entries"]:
         try:
-            j, s = int(item["j"]), int(item["s"])
+            j, s = item["j"], item["s"]
             value = _exact_value(item["value"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad assignment entry {item!r}: {exc}") from None
+        if type(j) is not int or type(s) is not int:
+            raise ValueError(f"bad assignment entry {item!r}: j and s must be JSON integers")
         if j < 2 or s < 0:
             raise ValueError(f"entry ({j},{s}) is not a valid variable")
         if (j, s) in out:

@@ -1,0 +1,116 @@
+"""Immutable sparse maps from canonical keys to exact coefficients.
+
+LieElement, ExtForm and DeformPolynomial are all finite combinations
+sum c_k * k over canonical keys k with nonzero Fraction or int coefficients.
+They share this base and differ only in their key rule (_canonical), their
+term order (_order) and their own methods.
+
+Keys are checked once, at the public constructor.  Internal sums add the
+terms of already canonical values into one dict and freeze it once, so a
+loop over many parts costs one sort rather than one per step.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+
+class SparseCombination:
+    """Terms (key, coeff), sorted by _order, with no zero coefficient."""
+
+    __slots__ = ("terms",)
+    _order = None  # sort key of a term; None sorts by key
+
+    def __new__(cls, terms: Iterable = ()):
+        acc: dict = {}
+        for key, coeff in terms:
+            key, coeff = cls._canonical(key, coeff)
+            acc[key] = acc.get(key, 0) + coeff
+        return cls._frozen(acc)
+
+    @staticmethod
+    def _canonical(key, coeff):
+        """(key, coeff) as stored; raises ValueError on a key outside the class."""
+        raise NotImplementedError
+
+    @classmethod
+    def _frozen(cls, acc):
+        """Freeze an accumulator keyed by canonical keys.
+
+        The caller vouches for the keys: they are neither checked nor
+        re-canonicalised.  Zero coefficients are dropped and the terms sorted once.
+        """
+        self = object.__new__(cls)
+        terms = sorted([(k, c) for k, c in acc.items() if c], key=cls._order)
+        object.__setattr__(self, "terms", tuple(terms))
+        return self
+
+    @classmethod
+    def _sum(cls, parts: Iterable):
+        """sum factor * element over (factor, element) pairs, frozen once."""
+        acc: dict = {}
+        get = acc.get
+        for factor, elem in parts:
+            for key, coeff in elem.terms:
+                acc[key] = get(key, 0) + factor * coeff
+        return cls._frozen(acc)
+
+    @classmethod
+    def zero(cls):
+        return cls._frozen({})
+
+    def _coefficient(self, key, default=0):
+        """Coefficient of a canonical key; default if it has no term."""
+        for k, c in self.terms:
+            if k == key:
+                return c
+        return default
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        return self._sum(((1, self), (1, other)))
+
+    def __sub__(self, other):
+        return self._sum(((1, self), (-1, other)))
+
+    def __neg__(self):
+        return self._sum(((-1, self),))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def _render(self, body) -> str:
+        """Terms joined as 'a + 2*b - c', body(key) naming each key; '0' if none.
+
+        A unit coefficient is left out; a key with an empty name shows the
+        coefficient alone.
+        """
+        parts = []
+        for key, coeff in self.terms:
+            text = body(key)
+            if not text:
+                frag = str(coeff)
+            elif coeff == 1:
+                frag = text
+            elif coeff == -1:
+                frag = "-" + text
+            else:
+                frag = f"{coeff}*{text}"
+            if not parts:
+                parts.append(frag)
+            elif frag.startswith("-"):
+                parts.append("- " + frag[1:])
+            else:
+                parts.append("+ " + frag)
+        return " ".join(parts) if parts else "0"

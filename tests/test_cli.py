@@ -117,6 +117,37 @@ def test_check_l1_lacuna2_beyond_dim_19(capsys, dim):
     assert report["jacobi"] == []
 
 
+@pytest.mark.parametrize("dim", [21, 23, 25])
+def test_check_l1_lacuna2_lists_only_inventory_variables(capsys, dim):
+    code, out, _ = run(capsys, "check", "--dim", str(dim), "--known", "L1-lacuna2")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "verified"
+    # x_{m,2} is in the inventory iff 2m + 3 <= dim
+    listed = [(entry["j"], entry["s"]) for entry in report["assignment"]["entries"]]
+    assert listed == [(m, 2) for m in range(2, (dim - 3) // 2 + 1)]
+
+
+def test_check_refuses_variables_outside_the_inventory(capsys, tmp_path):
+    src = tmp_path / "assign.json"
+    src.write_text(json.dumps({"entries": [{"j": 2, "s": 0, "value": "1"},
+                                           {"j": 9, "s": 0, "value": "1"}]}))
+    code, out, err = run(capsys, "check", "--dim", "9", "--assign", str(src))
+    assert code == 2 and out == ""
+    assert "x_{9,0}" in err and "x_{2,0}" not in err
+    # the marker belongs to even dimensions only
+    src.write_text(json.dumps({"entries": [], "x": "1"}))
+    code, _, err = run(capsys, "check", "--dim", "9", "--assign", str(src))
+    assert code == 2 and "error:" in err
+
+
+def test_check_mk_outside_the_inventory(capsys):
+    # x_{2,k-2} needs k + 3 <= n
+    code, out, _ = run(capsys, "check", "--dim", "13", "--known", "mk", "--k", "10")
+    assert code == 0 and json.loads(out)["verdict"] == "verified"
+    code, out, err = run(capsys, "check", "--dim", "13", "--known", "mk", "--k", "11")
+    assert code == 2 and out == "" and "x_{2,9}" in err
+
+
 def test_check_mk_needs_k(capsys):
     code, _, err = run(capsys, "check", "--dim", "13", "--known", "mk")
     assert code == 2 and "--k" in err

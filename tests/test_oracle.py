@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +242,18 @@ def test_defect_components_equal_residuals(n):
         reading = {triple: defect for triple, defect in scanned.items()
                    if triple[2] == triple[1] + 1}
         assert reading == expected
+
+
+def test_oracle_never_imports_systems():
+    # the two routes to the equations share only psi2_value and exact arithmetic
+    import filiform.oracle
+    tree = ast.parse(Path(filiform.oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        for name in modules:
+            assert "systems" not in name.split("."), ast.unparse(node)

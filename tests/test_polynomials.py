@@ -31,6 +31,16 @@ def test_variable_orderings_and_names():
     assert var_text(TOP) == var_cas(TOP) == "x"
 
 
+def test_term_order_is_degree_then_var_key():
+    variables = [(2, 0), (2, 1), (3, 0), (10, 0), TOP]
+    p = P((tuple(variables[i] for i in picks), 1 + sum(picks))
+          for picks in [(0,), (4,), (0, 4), (4, 4), (1, 2), (0, 3), (3, 4), (2, 2, 4),
+                        (0, 4, 4), (0, 1, 2), (4, 4, 4), (3, 3), ()])
+    expected = sorted(p.terms, key=lambda t: (len(t[0]), [var_key(v) for v in t[0]]))
+    assert p.terms == tuple(expected)
+    assert p.terms[0] == ((), 1) and p.terms[-1][0] == (TOP, TOP, TOP)
+
+
 def test_terms_are_canonical():
     p = P([(((4, 0), (2, 0)), 3), (((2, 0), (4, 0)), -1), (((3, 0),), 5)])
     # monomials sorted by degree then variable order, factors sorted inside

@@ -143,6 +143,13 @@ def test_parse_assignment_rejects_floats():
     assert parse_assignment({"entries": [{"j": 2, "s": 0, "value": 3}]}) == {(2, 0): 3}
 
 
+@pytest.mark.parametrize("j, s", [(2.5, 0), (2, 0.0), (2, True), (True, 0), ("2", 0), (None, 0)])
+def test_parse_assignment_rejects_non_integer_indices(j, s):
+    # int() used to read 2.5 as 2 and true as 1
+    with pytest.raises(ValueError, match="JSON integers"):
+        parse_assignment({"entries": [{"j": j, "s": s, "value": "1"}]})
+
+
 def test_report_verdicts():
     system = system_finite(9)
     good = {(2, 0): Fraction(1)}
