@@ -134,10 +134,6 @@ def _chain_relations(n: int) -> dict[tuple[int, int], LieElement]:
     return {(1, i): LieElement.basis(i + 1) for i in range(2, n)}
 
 
-def _fixture_m0(n: int) -> LieStructure:
-    return LieStructure(n, _chain_relations(n), name=f"m0({n})")
-
-
 def _fixture_m1(n: int) -> LieStructure:
     if n < 6 or n % 2:
         raise ValueError("m1 requires even dimension n = 2k >= 6")
@@ -207,7 +203,7 @@ def make_fixture(name: str, n: int, k: int | None = None, s: int | None = None,
     if n < 2:
         raise ValueError("fixture needs n >= 2")
     if name == "m0":
-        return _fixture_m0(n)
+        return LieStructure(n, _chain_relations(n), name=f"m0({n})")
     if name == "m1":
         return _fixture_m1(n)
     if name == "m2":

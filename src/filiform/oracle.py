@@ -13,7 +13,7 @@ from math import factorial
 from typing import Mapping
 
 from .cochains import psi2_value
-from .lie import LieElement, LieStructure
+from .lie import LieElement, LieStructure, _chain_relations
 from .polynomials import TOP, DeformPolynomial, Variable, var_key
 
 KNOWN_FAMILIES = ("m2", "L1", "mk", "L1-lacuna2")
@@ -29,14 +29,8 @@ class InconclusiveInventoryError(ValueError):
             f"inventory too small for label {label}: missing {self.missing}")
 
 
-def conclusive_inventory(j: int, q: int, r: int,
-                         with_top: bool = False) -> tuple[Variable, ...]:
-    """Smallest variable set that settles the coefficient at label (j,q,r).
-
-    Any pair (l,t) outside this set provably cannot touch the target basis
-    vector: the weights must split r (or r+1 against the marker) and the
-    sill conditions cap l.
-    """
+def _label_total(j: int, q: int, r: int, with_top: bool) -> int:
+    """Total index j+2q+1+r of a label that the marker setting can reach."""
     if not (2 <= j < q):
         raise ValueError(f"label needs 2 <= j < q, got j={j}, q={q}")
     if r < -1:
@@ -46,10 +40,22 @@ def conclusive_inventory(j: int, q: int, r: int,
     w = j + 2 * q + 1 + r
     if with_top and w % 2:
         raise ValueError(f"marker x needs an even total index, got {w}")
+    return w
+
+
+def conclusive_inventory(j: int, q: int, r: int,
+                         with_top: bool = False) -> tuple[Variable, ...]:
+    """Smallest variable set that settles the coefficient at label (j,q,r).
+
+    Any pair (l,t) outside this set provably cannot touch the target basis
+    vector: the weights must split r (or r+1 against the marker) and the
+    sill conditions cap l.
+    """
+    w = _label_total(j, q, r, with_top)
     t_hi = r + 1 if with_top else r
+    # l-major, t-minor: already in var_key order
     pairs: list[Variable] = [(l, t) for l in range(2, (w - 1) // 2 + 1)
                              for t in range(t_hi + 1) if 2 * l + 1 + t <= w]
-    pairs.sort(key=var_key)
     if with_top:
         pairs.append(TOP)
     return tuple(pairs)
@@ -77,19 +83,11 @@ def oracle_coefficient(j: int, q: int, r: int,
     over the inventory, all coefficients symbolic.  A missing-but-needed
     variable raises rather than silently truncating the answer.
     """
-    if not (2 <= j < q):
-        raise ValueError(f"label needs 2 <= j < q, got j={j}, q={q}")
-    if r < -1:
-        raise ValueError(f"r must be >= -1, got {r}")
-    w = j + 2 * q + 1 + r
     if inventory is None:
         inventory = conclusive_inventory(j, q, r, with_top=(r == -1))
     inv = list(dict.fromkeys(inventory))
     with_top = TOP in inv
-    if r == -1 and not with_top:
-        raise ValueError("label with r = -1 is meaningful only with the marker x")
-    if with_top and w % 2:
-        raise ValueError(f"marker x needs an even total index, got {w}")
+    w = _label_total(j, q, r, with_top)
     # conclusive means: every cross-weight class reachable from a declared
     # variable is fully declared, so no declared variable has a half-built
     # row.  An empty inventory is vacuously conclusive (the answer is 0).
@@ -170,7 +168,7 @@ def deformed_structure(assignment: Mapping[Variable, Fraction], n: int,
         l, t = (n // 2, -1) if v == TOP else v
         if v == TOP or 2 * l + 1 + t <= n:  # a sill above the cutoff is unreachable
             cocycles.append((coeff, l, t))
-    relations = {(1, i): LieElement.basis(i + 1) for i in range(2, n)}
+    relations = _chain_relations(n)
     for a in range(2, n):
         for b in range(a + 1, n + 1):
             elem = LieElement._sum((coeff, psi2_value(l, t, n, a, b))

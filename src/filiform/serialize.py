@@ -20,20 +20,24 @@ def canonical_json(doc) -> str:
 
 
 def fraction_str(value) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def _variable_json(v):
     return "x" if v == TOP else {"j": v[0], "s": v[1]}
 
 
+def _json_int(raw, where: str) -> int:
+    # int() would truncate 2.5 and accept true; a document index is a JSON integer
+    if type(raw) is not int:
+        raise ValueError(f"{where} must be JSON integers")
+    return raw
+
+
 def _variable_from_json(item):
     if item == "x":
         return TOP
-    return (int(item["j"]), int(item["s"]))
+    return tuple(_json_int(item[c], f"bad variable {item!r}: j and s") for c in "js")
 
 
 def _monomials_json(poly: DeformPolynomial) -> list:
@@ -48,11 +52,14 @@ def _monomials_from_json(items) -> DeformPolynomial:
     for item in items:
         mono = []
         for packed in item["vars"]:
-            if packed[0] == "x":
-                mono.extend([TOP] * int(packed[1]))
-            else:
-                mono.extend([(int(packed[0]), int(packed[1]))] * int(packed[2]))
-        terms.append((tuple(mono), int(item["coeff"])))
+            where = f"bad monomial run {packed!r}: runs"
+            *var, power = packed
+            if _json_int(power, where) < 1:
+                raise ValueError(f"{where} need a power >= 1")
+            v = TOP if var == ["x"] else tuple(_json_int(c, where) for c in var)
+            mono.extend([v] * power)
+        # the constructor refuses a coefficient that is not an integer
+        terms.append((tuple(mono), _exact_value(item["coeff"])))
     return DeformPolynomial(terms)
 
 
@@ -132,25 +139,24 @@ def write_system_json(system: EquationSystem, write) -> None:
 
 def parse_system_doc(doc) -> EquationSystem:
     kind = doc["kind"]
-    size = int(doc["total_max"] if kind == "truncated" else doc["n"])
+    size = _json_int(doc["total_max" if kind == "truncated" else "n"], "system sizes")
     variables = tuple(_variable_from_json(v) for v in doc["variables"])
-    equations = tuple(Equation(tuple(int(c) for c in item["label"]),
-                               _monomials_from_json(item["monomials"]),
-                               bool(item["tilde"]))
-                      for item in doc["equations"])
-    return EquationSystem(kind, size, doc["x_mode"], variables, equations)
-
-
-def _equation_name(eq: Equation) -> str:
-    j, q, r = eq.label
-    head = "F~" if eq.tilde else "F"
-    return f"{head}_{{{j},{q},{r}}}"
+    equations = []
+    for item in doc["equations"]:
+        label = tuple(_json_int(c, f"bad equation label {item['label']!r}: labels")
+                      for c in item["label"])
+        if type(item["tilde"]) is not bool:
+            raise ValueError(f"bad equation {label}: tilde must be a JSON boolean")
+        equations.append(Equation(label, _monomials_from_json(item["monomials"]), item["tilde"]))
+    return EquationSystem(kind, size, doc["x_mode"], variables, tuple(equations))
 
 
 def system_text(system: EquationSystem) -> str:
     lines = [f"# {system.system_id}: {len(system.equations)} equations, "
              f"{len(system.variables)} variables"]
-    lines.extend(f"{_equation_name(eq)} = {eq.poly.text()}" for eq in system.equations)
+    for eq in system.equations:
+        j, q, r = eq.label
+        lines.append(f"{'F~' if eq.tilde else 'F'}_{{{j},{q},{r}}} = {eq.poly.text()}")
     return "\n".join(lines) + "\n"
 
 
@@ -203,7 +209,7 @@ def _exact_value(raw) -> Fraction:
 
 def parse_assignment(doc) -> dict:
     """Assignment file body -> variable map with exact rational values."""
-    if not isinstance(doc, dict) or "entries" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError("assignment file must be an object with an 'entries' list")
     out = {}
     for item in doc["entries"]:
@@ -212,8 +218,7 @@ def parse_assignment(doc) -> dict:
             value = _exact_value(item["value"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad assignment entry {item!r}: {exc}") from None
-        if type(j) is not int or type(s) is not int:
-            raise ValueError(f"bad assignment entry {item!r}: j and s must be JSON integers")
+        j, s = (_json_int(c, f"bad assignment entry {item!r}: j and s") for c in (j, s))
         if j < 2 or s < 0:
             raise ValueError(f"entry ({j},{s}) is not a valid variable")
         if (j, s) in out:

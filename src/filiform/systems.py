@@ -92,23 +92,16 @@ def variable_inventory(n: int) -> list[tuple[int, int]]:
     return [(j, s) for j in range(2, (n - 1) // 2 + 1) for s in range(n - 2 * j)]
 
 
-def _pairs_at_total(w: int, r_min: int):
-    """(j, q, r) labels with j+2q+1+r == w and r >= r_min, ordered by (j, q)."""
-    out = []
-    for j in range(2, w):
-        for q in range(j + 1, w):
-            r = w - j - 2 * q - 1
-            if r >= r_min:
-                out.append((j, q, r))
-    out.sort()
-    return out
-
-
-def _system_labels(n: int) -> list[tuple[int, int, int]]:
-    """Labels of system_finite(n) in system order; even n adds the r = -1 top row."""
-    top_r_min = -1 if n % 2 == 0 else 0
-    return [label for w in range(9, n + 1)
-            for label in _pairs_at_total(w, top_r_min if w == n else 0)]
+def _system_labels(n: int, marker_rows: bool) -> list[tuple[int, int, int]]:
+    """Labels (j, q, r) of totals 9..n in (total, j, q) order; marker_rows adds r = -1 at n."""
+    labels = []
+    for w in range(9, n + 1):
+        r_min = -1 if marker_rows and w == n else 0
+        for j in range(2, w):
+            # r = w - j - 2q - 1 >= r_min caps q
+            for q in range(j + 1, (w - j - 1 - r_min) // 2 + 1):
+                labels.append((j, q, w - j - 2 * q - 1))
+    return labels
 
 
 class EquationSystem:
@@ -121,12 +114,11 @@ class EquationSystem:
         if x_mode not in X_MODES:
             raise ValueError(f"unknown x_mode {x_mode!r}")
         seen = set()
+        pool = set(variables)
         for eq in equations:
             if eq.label in seen:
                 raise ValueError(f"duplicate label {eq.label}")
             seen.add(eq.label)
-        pool = set(variables)
-        for eq in equations:
             stray = eq.poly.variables() - pool
             if stray:
                 raise ValueError(f"equation {eq.label} uses undeclared {stray}")
@@ -173,12 +165,10 @@ def system_finite(n: int, x_mode: str = "free") -> EquationSystem:
     """
     if n < 9:
         raise ValueError(f"dimension must be >= 9, got {n}")
-    if x_mode not in X_MODES:
-        raise ValueError(f"unknown x_mode {x_mode!r}")
     even = n % 2 == 0
     k = n // 2
     equations = []
-    for j, q, r in _system_labels(n):
+    for j, q, r in _system_labels(n, even):
         if even and j + 2 * q + 1 + r == n:
             sign = -1 if (k - j - q) % 2 else 1
             xg = sign * (DeformPolynomial.variable(TOP) * g_poly(j, q, r))
@@ -201,8 +191,7 @@ def system_truncated(total_max: int) -> EquationSystem:
     if total_max < 9:
         raise ValueError(f"truncation bound must be >= 9, got {total_max}")
     equations = tuple(Equation((j, q, r), f_poly(j, q, r), False)
-                      for w in range(9, total_max + 1)
-                      for (j, q, r) in _pairs_at_total(w, 0))
+                      for j, q, r in _system_labels(total_max, False))
     variables = tuple(variable_inventory(total_max))
     return EquationSystem("truncated", total_max, "fixed-0", variables, equations)
 
@@ -232,7 +221,7 @@ def dims_report(n: int) -> dict:
     num_vars, num_eqs = closed_form_counts(n)
     p2_sum = sum(partitions_exact(2, m) for m in range(2, n - 2))
     pairs = variable_inventory(n)
-    labels = _system_labels(n)
+    labels = _system_labels(n, n % 2 == 0)
     if not (num_vars == p2_sum == len(pairs)):
         raise ArithmeticError(
             f"variable counts disagree at n={n}: "

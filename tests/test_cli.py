@@ -178,6 +178,15 @@ def test_check_bad_assignment_file(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("entries", [5, None])
+def test_check_refuses_non_list_entries(capsys, tmp_path, entries):
+    src = tmp_path / "assign.json"
+    src.write_text(json.dumps({"entries": entries}))
+    code, out, err = run(capsys, "check", "--dim", "9", "--assign", str(src))
+    assert code == 2 and out == ""
+    assert "'entries' list" in err and "Traceback" not in err
+
+
 def test_check_missing_assignment_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--dim", "9",
                        "--assign", str(tmp_path / "nope.json"))

@@ -150,6 +150,68 @@ def test_parse_assignment_rejects_non_integer_indices(j, s):
         parse_assignment({"entries": [{"j": j, "s": s, "value": "1"}]})
 
 
+def _doc_12():
+    return json.loads(canonical_json(system_doc(system_finite(12, "free"))))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(n=12.0),
+    lambda d: d.update(n=True),
+    lambda d: d["equations"][0].update(label=[2, 3, 0.9]),
+    lambda d: d["equations"][0].update(label=[2, True, 0]),
+    lambda d: d["variables"].__setitem__(0, {"j": 2.5, "s": 0}),
+    lambda d: d["variables"].__setitem__(1, {"j": 2, "s": True}),
+    lambda d: d["equations"][0]["monomials"][0].update(vars=[[3.7, 0, 2]]),
+    lambda d: d["equations"][0]["monomials"][0].update(vars=[[3, 0, 2.0]]),
+    lambda d: d["equations"][-1]["monomials"][-1].update(vars=[["x", True]]),
+], ids=["float-size", "bool-size", "float-label", "bool-label", "float-j", "bool-s",
+        "float-run-j", "float-run-power", "bool-marker-power"])
+def test_parse_system_doc_rejects_non_integer_indices(edit):
+    # int() used to read 9.7 as 9, [2, 3, 0.9] as (2, 3, 0) and true as 1
+    doc = _doc_12()
+    edit(doc)
+    with pytest.raises(ValueError, match="JSON integers"):
+        parse_system_doc(doc)
+
+
+@pytest.mark.parametrize("run", [[3, 0, 0], [3, 0, -1], ["x", 0], [3, 0]])
+def test_parse_system_doc_rejects_empty_runs(run):
+    # a power of 0 or less used to drop the variable from its monomial
+    doc = _doc_12()
+    doc["equations"][0]["monomials"][0]["vars"] = [run, [2, 0, 1]]
+    with pytest.raises(ValueError, match="power >= 1"):
+        parse_system_doc(doc)
+
+
+def test_parse_system_doc_reads_coefficients_exactly():
+    doc = _doc_12()
+    doc["equations"][0]["monomials"][0]["coeff"] = 2.7
+    with pytest.raises(ValueError, match="float"):
+        parse_system_doc(doc)
+    doc["equations"][0]["monomials"][0]["coeff"] = "2.7"
+    with pytest.raises(ValueError, match="not an integer"):
+        parse_system_doc(doc)
+    # a JSON integer or an integral rational string is the same coefficient
+    doc["equations"][0]["monomials"][0]["coeff"] = 3
+    first = parse_system_doc(doc).equations[0].poly
+    doc["equations"][0]["monomials"][0]["coeff"] = "6/2"
+    assert parse_system_doc(doc).equations[0].poly == first
+
+
+@pytest.mark.parametrize("tilde", ["false", 0, 1, None])
+def test_parse_system_doc_needs_boolean_tilde(tilde):
+    doc = _doc_12()
+    doc["equations"][0]["tilde"] = tilde
+    with pytest.raises(ValueError, match="JSON boolean"):
+        parse_system_doc(doc)
+
+
+@pytest.mark.parametrize("entries", [5, None, "ab", {"j": 2, "s": 0, "value": "1"}])
+def test_parse_assignment_needs_an_entries_list(entries):
+    with pytest.raises(ValueError, match="'entries' list"):
+        parse_assignment({"entries": entries})
+
+
 def test_report_verdicts():
     system = system_finite(9)
     good = {(2, 0): Fraction(1)}

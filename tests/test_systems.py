@@ -212,6 +212,18 @@ def test_odd_system_equals_truncation():
     assert system_truncated(25).system_id == "truncated(25)"
 
 
+def test_truncation_is_finite_system_without_marker_rows():
+    def order(label):
+        j, q, r = label
+        return j + 2 * q + 1 + r, j, q
+
+    for n in range(9, 31):
+        fin = system_finite(n).labels()
+        tr = system_truncated(n).labels()
+        assert tr == [label for label in fin if label[2] != -1], n
+        assert fin == sorted(fin, key=order) and tr == sorted(tr, key=order), n
+
+
 def test_size_guards():
     with pytest.raises(ValueError):
         system_finite(8)
