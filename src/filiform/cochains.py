@@ -66,8 +66,7 @@ class AdjointCochain:
 
     def value_with_element(self, elem: LieElement, rest: Sequence[int]) -> LieElement:
         """Linear extension in the first slot: value(elem, *rest)."""
-        return LieElement._sum(((coeff, self.value(idx, *rest)) for idx, coeff in elem.terms),
-                               elem.truncated)
+        return LieElement._sum((coeff, self.value(idx, *rest)) for idx, coeff in elem.terms)
 
     def __repr__(self) -> str:
         tag = self.label or "cochain"
@@ -79,9 +78,9 @@ def psi2_value(j: int, s: int, n: int, k: int, m: int) -> LieElement:
     """Closed-form value Psi_{j,s}(e_k, e_m) for 2 <= k < m <= n.
 
     Returns (-1)^{j-k} C(m-j-1, j-k) e_{m+k+s}; the guarded binomial makes
-    the sill support conditions automatic.  A target above n is dropped and
-    the result flagged as truncated.  k = 1 is rejected here: the cocycles
-    vanish on e_1 and callers handle that case themselves.
+    the sill support conditions automatic.  A target above n is dropped.
+    k = 1 is rejected here: the cocycles vanish on e_1 and callers handle
+    that case themselves.
     """
     _check_psi2_params(j, s, n)
     if k < 2:
@@ -91,11 +90,9 @@ def psi2_value(j: int, s: int, n: int, k: int, m: int) -> LieElement:
     if m > n:
         raise ValueError(f"index {m} above cutoff {n}")
     coeff = binomial(m - j - 1, j - k)
-    if coeff == 0:
-        return LieElement.zero()
     target = m + k + s
-    if target > n:
-        return LieElement.zero(truncated=True)
+    if coeff == 0 or target > n:
+        return LieElement.zero()
     sign = -1 if (j - k) % 2 else 1
     return LieElement.basis(target, sign * coeff)
 
@@ -154,11 +151,9 @@ def _series_rule(base: ExtForm, base_weight: int, s: int, n: int):
         if tup[0] == 1:
             return LieElement.zero()
         step = sum(tup) - base_weight
-        if step < 0:
+        if not 0 <= step < len(forms):
+            # below the base weight, or past the tower (the target would exceed n)
             return LieElement.zero()
-        if step >= len(forms):
-            # series cut at the cutoff: the target would exceed n
-            return LieElement.zero(truncated=True)
         coeff = forms[step].coefficient(tup)
         if not coeff:
             return LieElement.zero()

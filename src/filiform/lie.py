@@ -2,53 +2,29 @@
 
 Vectors are rational linear combinations of basis elements; structures keep
 only the bracket relations [e_i, e_j] with i < j and a fixed index cutoff n.
-Any bracket target above the cutoff is dropped and flagged, never wrapped
-around, so a structure of cutoff n is the degree-n truncation of the
-corresponding N-graded algebra.
+Any bracket target above the cutoff is dropped, never wrapped around, so a
+structure of cutoff n is the degree-n truncation of the corresponding
+N-graded algebra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .sparse import SparseCombination
 
 
 class LieElement(SparseCombination):
-    """Immutable rational vector sum(c_i * e_i), plus a truncation marker.
+    """Immutable rational vector sum(c_i * e_i) over basis indices i >= 1."""
 
-    The marker records that terms beyond some cutoff were discarded while
-    producing the value.  It is deliberately excluded from equality: two
-    elements are equal iff their surviving terms agree.
-    """
-
-    # a class default: only the rare instances that lost terms carry their own
-    truncated = False
-
-    def __new__(cls, terms: Iterable[tuple[int, Fraction]] = (), truncated: bool = False):
-        return super().__new__(cls, terms)._flagged(truncated)
+    __slots__ = ()
 
     @staticmethod
     def _canonical(index: int, coeff) -> tuple[int, Fraction]:
         if index < 1:
             raise ValueError(f"basis index must be >= 1, got {index}")
         return index, Fraction(coeff)
-
-    def _flagged(self, truncated) -> "LieElement":
-        if truncated:
-            object.__setattr__(self, "truncated", True)
-        return self
-
-    @classmethod
-    def _sum(cls, parts, truncated: bool = False) -> "LieElement":
-        """As for any sparse sum; truncated if the caller or any part says so."""
-        parts = tuple(parts)
-        return super()._sum(parts)._flagged(truncated or any(e.truncated for _, e in parts))
-
-    @classmethod
-    def zero(cls, truncated: bool = False) -> "LieElement":
-        return cls._frozen({})._flagged(truncated)
 
     @classmethod
     def basis(cls, index: int, coeff=1) -> "LieElement":
@@ -67,10 +43,10 @@ class LieElement(SparseCombination):
         return self.scaled(factor)
 
     def clipped(self, cutoff: int) -> "LieElement":
-        """Drop terms with index > cutoff, flagging if anything was lost."""
+        """Drop terms with index > cutoff."""
         if not self.terms or self.terms[-1][0] <= cutoff:
             return self
-        return self._frozen({i: c for i, c in self.terms if i <= cutoff})._flagged(True)
+        return self._frozen({i: c for i, c in self.terms if i <= cutoff})
 
     def __repr__(self) -> str:
         return self._render(lambda i: f"e{i}")
@@ -109,9 +85,8 @@ class LieStructure:
         return -self._table.get((j, i), ZERO)
 
     def bracket(self, a: LieElement, b: LieElement) -> LieElement:
-        return LieElement._sum(((ca * cb, self.bracket_basis(i, j))
-                                for i, ca in a.terms for j, cb in b.terms),
-                               a.truncated or b.truncated)
+        return LieElement._sum((ca * cb, self.bracket_basis(i, j))
+                               for i, ca in a.terms for j, cb in b.terms)
 
     def jacobi_defect(self, i: int, j: int, k: int) -> LieElement:
         """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""

@@ -155,8 +155,7 @@ def first_violation(system, assignment: Mapping[Variable, Fraction]):
     return None
 
 
-def deformed_structure(assignment: Mapping[Variable, Fraction], n: int,
-                       name: str = "deformed") -> LieStructure:
+def deformed_structure(assignment: Mapping[Variable, Fraction], n: int) -> LieStructure:
     """Chain bracket plus the assigned cocycle combination, cut at e_n."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -175,7 +174,7 @@ def deformed_structure(assignment: Mapping[Variable, Fraction], n: int,
                                    for coeff, l, t in cocycles)
             if not elem.is_zero:
                 relations[(a, b)] = elem
-    return LieStructure(n, relations, name)
+    return LieStructure(n, relations, name="deformed")
 
 
 def jacobi_scan(structure: LieStructure):

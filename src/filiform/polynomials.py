@@ -24,7 +24,7 @@ def check_variable(v: Variable) -> Variable:
     if v == TOP:
         return v
     if (isinstance(v, tuple) and len(v) == 2
-            and all(isinstance(c, int) for c in v) and v[0] >= 2 and v[1] >= 0):
+            and all(type(c) is int for c in v) and v[0] >= 2 and v[1] >= 0):
         return v
     raise ValueError(f"not a deformation variable: {v!r}")
 

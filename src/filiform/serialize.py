@@ -140,11 +140,15 @@ def write_system_json(system: EquationSystem, write) -> None:
 def parse_system_doc(doc) -> EquationSystem:
     kind = doc["kind"]
     size = _json_int(doc["total_max" if kind == "truncated" else "n"], "system sizes")
+    if kind not in ("truncated", f"M_Fil({size})"):
+        raise ValueError(f"system kind must be 'truncated' or 'M_Fil({size})', got {kind!r}")
     variables = tuple(_variable_from_json(v) for v in doc["variables"])
     equations = []
     for item in doc["equations"]:
         label = tuple(_json_int(c, f"bad equation label {item['label']!r}: labels")
                       for c in item["label"])
+        if len(label) != 3:
+            raise ValueError(f"bad equation label {item['label']!r}: labels need three entries")
         if type(item["tilde"]) is not bool:
             raise ValueError(f"bad equation {label}: tilde must be a JSON boolean")
         equations.append(Equation(label, _monomials_from_json(item["monomials"]), item["tilde"]))

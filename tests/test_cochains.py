@@ -22,9 +22,9 @@ class TestPsi2Value:
         assert psi2_value(3, 0, 12, 2, 4).is_zero
         assert psi2_value(2, 0, 12, 4, 5).is_zero
 
-    def test_truncation_flag(self):
+    def test_target_above_cutoff_is_zero(self):
         v = psi2_value(2, 0, 9, 2, 8)  # target e_10 above the cutoff
-        assert v.is_zero and v.truncated
+        assert v.is_zero
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -34,15 +34,10 @@ class TestLieElement:
         with pytest.raises(AttributeError):
             e(2).terms = ()
 
-    def test_equality_ignores_truncation_flag(self):
-        assert LieElement([(2, Fraction(1))], truncated=True) == e(2)
-        assert LieElement([], truncated=True).is_zero
-
     def test_clipped_flags_loss(self):
         v = e(3) + e(9)
         assert v.clipped(5) == e(3)
-        assert v.clipped(5).truncated
-        assert not v.clipped(9).truncated
+        assert v.clipped(9) is v
 
     def test_repr(self):
         assert repr(e(2) - e(4) + e(7, Fraction(1, 2))) == "e2 - e4 + 1/2*e7"

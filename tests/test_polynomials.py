@@ -22,6 +22,15 @@ def test_variable_validation():
             check_variable(bad)
 
 
+def test_booleans_are_not_variable_indices():
+    # True == 1 and hashes alike, so (2, True) used to pass as x_{2,1}
+    for bad in [(2, True), (3, False), (True, 0)]:
+        with pytest.raises(ValueError):
+            check_variable(bad)
+    with pytest.raises(ValueError):
+        DeformPolynomial.variable((2, True))
+
+
 def test_variable_orderings_and_names():
     assert var_key((2, 5)) < var_key((3, 0)) < var_key(TOP)
     assert var_weight((4, 7)) == 7

@@ -174,6 +174,23 @@ def test_parse_system_doc_rejects_non_integer_indices(edit):
         parse_system_doc(doc)
 
 
+@pytest.mark.parametrize("label", [[2, 3], [2, 3, 0, 7], []])
+def test_parse_system_doc_needs_three_entry_labels(label):
+    doc = _doc_12()
+    doc["equations"][0]["label"] = label
+    with pytest.raises(ValueError, match="three entries"):
+        parse_system_doc(doc)
+
+
+@pytest.mark.parametrize("kind", ["foo", "M_Fil(13)", "Truncated", None])
+def test_parse_system_doc_needs_a_known_kind(kind):
+    # any other kind used to parse and report itself as M_Fil(12)[x=free]
+    doc = _doc_12()
+    doc["kind"] = kind
+    with pytest.raises(ValueError, match="system kind"):
+        parse_system_doc(doc)
+
+
 @pytest.mark.parametrize("run", [[3, 0, 0], [3, 0, -1], ["x", 0], [3, 0]])
 def test_parse_system_doc_rejects_empty_runs(run):
     # a power of 0 or less used to drop the variable from its monomial
