@@ -27,7 +27,10 @@ def _write(text: str, path: str | None) -> None:
 
 def cmd_gen(args) -> int:
     if args.dim is not None:
-        system = systems.system_finite(args.dim, X_MODE_FLAG[args.x])
+        # an unset --x reads as free
+        system = systems.system_finite(args.dim, X_MODE_FLAG[args.x or "free"])
+    elif args.x is not None:
+        raise ValueError("--x applies only to --dim; a truncated system has no marker")
     else:
         system = systems.system_truncated(args.truncate)
     if args.format != "json":
@@ -59,6 +62,8 @@ def cmd_dims(args) -> int:
 
 
 def _load_assignment(args) -> dict:
+    if args.k is not None and args.known != "mk":
+        raise ValueError("--k applies only to --known mk")
     if args.known is not None:
         if args.known == "mk" and args.k is None:
             raise ValueError("--known mk needs --k")
@@ -127,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--dim", type=int, help="finite variety dimension n >= 9")
     size.add_argument("--truncate", type=int,
                       help="total-index bound for the truncated system")
-    gen.add_argument("--x", choices=sorted(X_MODE_FLAG), default="free",
+    gen.add_argument("--x", choices=sorted(X_MODE_FLAG), default=None,
                      help="marker handling for even dimensions")
     gen.add_argument("--format", choices=("text", "json", "cas"), default="text")
     gen.add_argument("--output", default=None)

@@ -74,13 +74,13 @@ class AdjointCochain:
         return f"<AdjointCochain {tag} deg={self.degree} weight={w} n={self.dim}>"
 
 
-def psi2_value(j: int, s: int, n: int, k: int, m: int) -> LieElement:
-    """Closed-form value Psi_{j,s}(e_k, e_m) for 2 <= k < m <= n.
+def psi2_value(j: int, s: int, n: int, k: int, m: int) -> tuple[int, int] | None:
+    """Closed-form value Psi_{j,s}(e_k, e_m) = coeff * e_target for 2 <= k < m <= n.
 
-    Returns (-1)^{j-k} C(m-j-1, j-k) e_{m+k+s}; the guarded binomial makes
-    the sill support conditions automatic.  A target above n is dropped.
-    k = 1 is rejected here: the cocycles vanish on e_1 and callers handle
-    that case themselves.
+    Returns the integers (target, coeff) = (m+k+s, (-1)^{j-k} C(m-j-1, j-k)),
+    or None when coeff is 0 or target is above n; the guarded binomial makes
+    the sill support conditions automatic.  k = 1 is rejected here: the
+    cocycles vanish on e_1 and callers handle that case themselves.
     """
     _check_psi2_params(j, s, n)
     if k < 2:
@@ -92,9 +92,8 @@ def psi2_value(j: int, s: int, n: int, k: int, m: int) -> LieElement:
     coeff = binomial(m - j - 1, j - k)
     target = m + k + s
     if coeff == 0 or target > n:
-        return LieElement.zero()
-    sign = -1 if (j - k) % 2 else 1
-    return LieElement.basis(target, sign * coeff)
+        return None
+    return target, -coeff if (j - k) % 2 else coeff
 
 
 def _check_psi2_params(j: int, s: int, n: int) -> None:
@@ -119,9 +118,8 @@ def psi2(j: int, s: int, n: int, method: str = "table") -> AdjointCochain:
     if method == "table":
         def rule(tup: tuple[int, ...]) -> LieElement:
             k, m = tup
-            if k == 1:
-                return LieElement.zero()
-            return psi2_value(j, s, n, k, m)
+            value = None if k == 1 else psi2_value(j, s, n, k, m)
+            return LieElement.zero() if value is None else LieElement.basis(*value)
     elif method == "series":
         rule = _series_rule(omega((j, j + 1)), 2 * j + 1, s, n)
     else:

@@ -168,15 +168,27 @@ def _fixture_lacuna(n: int, s: int, base: str) -> LieStructure:
     return LieStructure(n, rel, name=f"lacuna{s}-of-{base}({n})")
 
 
+# the parameters each stock structure takes
+_FIXTURE_PARAMS = {"m0": (), "m1": (), "m2": (), "mk": ("k",), "L1": (), "Lk": ("k",),
+                   "lacuna-of": ("s", "base")}
+
+
 def make_fixture(name: str, n: int, k: int | None = None, s: int | None = None,
                  base: str | None = None) -> LieStructure:
     """Build one of the stock structures at cutoff n.
 
     Names: m0, m1, m2, mk (needs k >= 2), L1, Lk (needs k >= 1),
-    lacuna-of (needs gap s and base in m0/m2/L1).
+    lacuna-of (needs gap s and base in m0/m2/L1).  A parameter the name
+    does not take is refused, not ignored.
     """
     if n < 2:
         raise ValueError("fixture needs n >= 2")
+    if name not in _FIXTURE_PARAMS:
+        raise ValueError(f"unknown fixture name: {name!r}")
+    extra = [param for param, value in (("k", k), ("s", s), ("base", base))
+             if value is not None and param not in _FIXTURE_PARAMS[name]]
+    if extra:
+        raise ValueError(f"fixture {name} takes no parameter {', '.join(extra)}")
     if name == "m0":
         return LieStructure(n, _chain_relations(n), name=f"m0({n})")
     if name == "m1":
@@ -197,4 +209,3 @@ def make_fixture(name: str, n: int, k: int | None = None, s: int | None = None,
         if s is None or base is None:
             raise ValueError("lacuna-of needs gap s and base name")
         return _fixture_lacuna(n, s, base)
-    raise ValueError(f"unknown fixture name: {name!r}")

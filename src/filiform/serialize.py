@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .lie import LieElement, LieStructure
 from .polynomials import TOP, DeformPolynomial, monomial_runs, var_cas, var_key
-from .systems import Equation, EquationSystem
+from .systems import Equation, EquationSystem, variable_inventory
 
 
 def canonical_json(doc) -> str:
@@ -34,9 +34,18 @@ def _json_int(raw, where: str) -> int:
     return raw
 
 
+def _json_shape(raw, shape: type, where: str):
+    # indexing or iterating a value of the wrong shape would raise TypeError
+    if type(raw) is not shape:
+        raise ValueError(f"{where} must be a JSON {'list' if shape is list else 'object'}")
+    return raw
+
+
 def _variable_from_json(item):
     if item == "x":
         return TOP
+    if type(item) is not dict or item.keys() != {"j", "s"}:
+        raise ValueError(f"bad variable {item!r}: a variable is \"x\" or an object with j and s")
     return tuple(_json_int(item[c], f"bad variable {item!r}: j and s") for c in "js")
 
 
@@ -49,11 +58,12 @@ def _monomials_json(poly: DeformPolynomial) -> list:
 
 def _monomials_from_json(items) -> DeformPolynomial:
     terms = []
-    for item in items:
+    for item in _json_shape(items, list, "monomials"):
         mono = []
-        for packed in item["vars"]:
+        runs = _json_shape(item, dict, "a monomial")["vars"]
+        for packed in _json_shape(runs, list, "monomial vars"):
             where = f"bad monomial run {packed!r}: runs"
-            *var, power = packed
+            *var, power = _json_shape(packed, list, where)
             if _json_int(power, where) < 1:
                 raise ValueError(f"{where} need a power >= 1")
             v = TOP if var == ["x"] else tuple(_json_int(c, where) for c in var)
@@ -138,21 +148,31 @@ def write_system_json(system: EquationSystem, write) -> None:
 
 
 def parse_system_doc(doc) -> EquationSystem:
-    kind = doc["kind"]
+    kind = _json_shape(doc, dict, "a system document")["kind"]
     size = _json_int(doc["total_max" if kind == "truncated" else "n"], "system sizes")
     if kind not in ("truncated", f"M_Fil({size})"):
         raise ValueError(f"system kind must be 'truncated' or 'M_Fil({size})', got {kind!r}")
-    variables = tuple(_variable_from_json(v) for v in doc["variables"])
+    variables = tuple(_variable_from_json(v)
+                      for v in _json_shape(doc["variables"], list, "variables"))
+    x_mode = doc["x_mode"]
+    if kind == "truncated" and x_mode != "fixed-0":
+        raise ValueError(f"a truncated system has no marker, so its x_mode is 'fixed-0', "
+                         f"not {x_mode!r}")
+    # the marker is declared exactly when it stays symbolic in an even dimension
+    marker = kind != "truncated" and size % 2 == 0 and x_mode == "free"
+    if variables != tuple(variable_inventory(size)) + ((TOP,) if marker else ()):
+        raise ValueError(f"declared variables are not the inventory of {kind} "
+                         f"with x_mode {x_mode!r}")
     equations = []
-    for item in doc["equations"]:
-        label = tuple(_json_int(c, f"bad equation label {item['label']!r}: labels")
-                      for c in item["label"])
-        if len(label) != 3:
-            raise ValueError(f"bad equation label {item['label']!r}: labels need three entries")
+    for item in _json_shape(doc["equations"], list, "equations"):
+        raw = _json_shape(item, dict, "an equation")["label"]
+        if type(raw) is not list or len(raw) != 3:
+            raise ValueError(f"bad equation label {raw!r}: labels need three entries")
+        label = tuple(_json_int(c, f"bad equation label {raw!r}: labels") for c in raw)
         if type(item["tilde"]) is not bool:
             raise ValueError(f"bad equation {label}: tilde must be a JSON boolean")
         equations.append(Equation(label, _monomials_from_json(item["monomials"]), item["tilde"]))
-    return EquationSystem(kind, size, doc["x_mode"], variables, tuple(equations))
+    return EquationSystem(kind, size, x_mode, variables, tuple(equations))
 
 
 def system_text(system: EquationSystem) -> str:

@@ -46,6 +46,22 @@ def test_gen_x_modes(capsys):
     assert out.splitlines()[0].startswith("# M_Fil(12)[x=fixed-0]:")
 
 
+def test_gen_unset_x_is_free(capsys):
+    _, unset, _ = run(capsys, "gen", "--dim", "12", "--format", "json")
+    _, free, _ = run(capsys, "gen", "--dim", "12", "--format", "json", "--x", "free")
+    assert unset == free
+
+
+@pytest.mark.parametrize("mode", ["free", "0", "1"])
+def test_gen_truncated_refuses_x(capsys, tmp_path, mode):
+    # --x used to be ignored for a truncated system
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, "gen", "--truncate", "10", "--x", mode,
+                         "--output", str(target))
+    assert code == 2 and out == "" and "--x" in err
+    assert not target.exists()
+
+
 def test_gen_truncated(capsys):
     code, out, _ = run(capsys, "gen", "--truncate", "10", "--format", "cas")
     assert code == 0
@@ -153,6 +169,20 @@ def test_check_mk_needs_k(capsys):
     assert code == 2 and "--k" in err
 
 
+@pytest.mark.parametrize("family", ["m2", "L1", "L1-lacuna2"])
+def test_check_refuses_k_without_mk(capsys, family):
+    # --k used to be ignored for every family but mk
+    code, out, err = run(capsys, "check", "--dim", "13", "--known", family, "--k", "4")
+    assert code == 2 and out == "" and "--k" in err
+
+
+def test_check_refuses_k_with_an_assignment_file(capsys, tmp_path):
+    src = tmp_path / "assign.json"
+    src.write_text(json.dumps({"entries": [{"j": 2, "s": 0, "value": "1"}]}))
+    code, out, err = run(capsys, "check", "--dim", "13", "--assign", str(src), "--k", "4")
+    assert code == 2 and out == "" and "--k" in err
+
+
 def test_check_failing_assignment(capsys, tmp_path):
     src = tmp_path / "assign.json"
     src.write_text(json.dumps(
@@ -222,6 +252,19 @@ def test_fixture_errors(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "fixture", "--name", "mk", "--dim", "12")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (("--name", "m0", "--dim", "4", "--k", "7", "--s", "3", "--base", "L1"), "k, s, base"),
+    (("--name", "L1", "--dim", "9", "--k", "2"), "k"),
+    (("--name", "mk", "--dim", "12", "--k", "4", "--s", "1"), "s"),
+    (("--name", "lacuna-of", "--dim", "9", "--s", "2", "--base", "L1", "--k", "3"), "k"),
+])
+def test_fixture_refuses_unused_parameters(capsys, argv, unused):
+    # make_fixture used to ignore the parameters its name does not take
+    code, out, err = run(capsys, "fixture", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: fixture {argv[1]} takes no parameter {unused}\n"
 
 
 def test_argparse_usage_errors():

@@ -15,16 +15,16 @@ def e(i, c=1):
 
 class TestPsi2Value:
     def test_frozen_values(self):
-        assert psi2_value(2, 0, 9, 2, 4) == e(6)
-        assert psi2_value(3, 0, 9, 2, 6) == e(8, -2)
-        assert psi2_value(2, 1, 9, 2, 3) == e(6)
+        assert psi2_value(2, 0, 9, 2, 4) == (6, 1)
+        assert psi2_value(3, 0, 9, 2, 6) == (8, -2)
+        assert psi2_value(2, 1, 9, 2, 3) == (6, 1)
         # support cut by the guarded binomial
-        assert psi2_value(3, 0, 12, 2, 4).is_zero
-        assert psi2_value(2, 0, 12, 4, 5).is_zero
+        assert psi2_value(3, 0, 12, 2, 4) is None
+        assert psi2_value(2, 0, 12, 4, 5) is None
 
     def test_target_above_cutoff_is_zero(self):
         v = psi2_value(2, 0, 9, 2, 8)  # target e_10 above the cutoff
-        assert v.is_zero
+        assert v is None
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

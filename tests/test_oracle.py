@@ -83,7 +83,13 @@ class TestOracleCoefficient:
     def test_matches_closed_form(self, label):
         assert oracle_coefficient(*label) == f_poly(*label)
 
-    @pytest.mark.parametrize("n", [10, 12, 14, 16, 18, 20])
+    def test_matches_every_label_to_total_31(self):
+        system = system_truncated(31)
+        assert len(system) == 458
+        for eq in system:
+            assert oracle_coefficient(*eq.label) == eq.poly, eq.label
+
+    @pytest.mark.parametrize("n", range(10, 25, 2))
     def test_matches_even_top_rows(self, n):
         system = system_finite(n, "free")
         for eq in system.equations:
@@ -115,6 +121,13 @@ class TestKnownSolutions:
         denominators = [70, 420, 2310, 12012, 60060, 291720, 1385670]
         assert sol == {(m, 2): Fraction(1, d)
                        for m, d in zip(range(2, 9), denominators)}
+
+    @pytest.mark.parametrize("name", ["L1", "L1-lacuna2"])
+    @pytest.mark.parametrize("bound", [1, 0, -3])
+    def test_bound_below_two_is_refused(self, name, bound):
+        # L1-lacuna2 used to return an empty assignment here
+        with pytest.raises(ValueError, match=f"family {name} needs a truncation bound >= 2"):
+            known_solution(name, bound=bound)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -223,6 +223,84 @@ def test_parse_system_doc_needs_boolean_tilde(tilde):
         parse_system_doc(doc)
 
 
+def _doc(system):
+    return json.loads(canonical_json(system_doc(system)))
+
+
+@pytest.mark.parametrize("system, x_mode", [
+    (system_finite(12, "free"), "fixed-0"),
+    (system_finite(12, "free"), "fixed-1"),
+    (system_finite(12, "fixed-0"), "free"),
+    (system_finite(12, "fixed-1"), "free"),
+    (system_truncated(15), "free"),
+    (system_truncated(15), "fixed-1"),
+], ids=["free-as-fixed-0", "free-as-fixed-1", "fixed-0-as-free", "fixed-1-as-free",
+        "truncated-as-free", "truncated-as-fixed-1"])
+def test_parse_system_doc_refuses_a_contradicting_x_mode(system, x_mode):
+    # a free n = 12 document relabelled fixed-0 used to parse with its marker
+    doc = _doc(system)
+    doc["x_mode"] = x_mode
+    with pytest.raises(ValueError, match="x_mode"):
+        parse_system_doc(doc)
+
+
+@pytest.mark.parametrize("system, edit", [
+    (system_finite(12), lambda d: d["variables"].pop(0)),
+    (system_finite(12), lambda d: d["variables"].append({"j": 9, "s": 0})),
+    (system_finite(12), lambda d: d["variables"].reverse()),
+    (system_finite(12), lambda d: d["variables"].pop()),
+    (system_finite(12), lambda d: d.update(n=14, kind="M_Fil(14)")),
+    (system_finite(13), lambda d: d["variables"].append("x")),
+], ids=["missing", "stray", "order", "no-marker", "other-size", "odd-marker"])
+def test_parse_system_doc_needs_the_inventory(system, edit):
+    doc = _doc(system)
+    edit(doc)
+    with pytest.raises(ValueError, match="declared variables"):
+        parse_system_doc(doc)
+
+
+@pytest.mark.parametrize("label", [5, None, "230", {"j": 2}])
+def test_parse_system_doc_refuses_a_label_that_is_not_a_list(label):
+    # a number used to raise TypeError ("'int' object is not iterable")
+    doc = _doc_12()
+    doc["equations"][0]["label"] = label
+    with pytest.raises(ValueError, match="three entries"):
+        parse_system_doc(doc)
+
+
+@pytest.mark.parametrize("variable", [[2, 0], 5, None, {"j": 2}, {"j": 2, "s": 0, "t": 1}])
+def test_parse_system_doc_refuses_a_variable_of_another_shape(variable):
+    # a list used to raise TypeError ("list indices must be integers")
+    doc = _doc_12()
+    doc["variables"][0] = variable
+    with pytest.raises(ValueError, match="bad variable"):
+        parse_system_doc(doc)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(variables=5),
+    lambda d: d.update(variables={"j": 2, "s": 0}),
+    lambda d: d.update(equations=[5]),
+    lambda d: d.update(equations={"label": [2, 3, 0]}),
+    lambda d: d["equations"][0].update(monomials=5),
+    lambda d: d["equations"][0].update(monomials=["2"]),
+    lambda d: d["equations"][0]["monomials"][0].update(vars=5),
+    lambda d: d["equations"][0]["monomials"][0].update(vars=[5]),
+], ids=["variables", "variables-object", "equation", "equations-object", "monomials",
+        "monomial", "vars", "run"])
+def test_parse_system_doc_refuses_other_json_shapes(edit):
+    # each used to raise TypeError
+    doc = _doc_12()
+    edit(doc)
+    with pytest.raises(ValueError, match="must be a JSON"):
+        parse_system_doc(doc)
+
+
+def test_parse_system_doc_needs_an_object():
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        parse_system_doc([_doc_12()])
+
+
 @pytest.mark.parametrize("entries", [5, None, "ab", {"j": 2, "s": 0, "value": "1"}])
 def test_parse_assignment_needs_an_entries_list(entries):
     with pytest.raises(ValueError, match="'entries' list"):
