@@ -10,12 +10,12 @@ routes is the main correctness gate of the whole package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping
 
 from .cochains import psi2_value
 from .lie import LieElement, LieStructure, _chain_relations
-from .polynomials import TOP, DeformPolynomial, Variable, var_key
+from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators, var_key
 
 KNOWN_FAMILIES = ("m2", "L1", "mk", "L1-lacuna2")
 
@@ -144,7 +144,8 @@ def known_solution(name: str, t=1, k: int | None = None,
 
 def evaluate_system(system, assignment: Mapping[Variable, Fraction]):
     """Exact residual of every equation, in system order; missing vars are 0."""
-    return [(eq.label, eq.poly.evaluate(assignment)) for eq in system.equations]
+    cleared = clear_denominators(assignment)  # once for all rows
+    return [(eq.label, eq.poly._cleared_value(*cleared)) for eq in system.equations]
 
 
 def first_violation(system, assignment: Mapping[Variable, Fraction]):
@@ -178,13 +179,33 @@ def deformed_structure(assignment: Mapping[Variable, Fraction], n: int) -> LieSt
 
 
 def jacobi_scan(structure: LieStructure):
-    """All increasing triples with a nonzero cyclic defect, in order."""
+    """All increasing triples with a nonzero cyclic defect, in order.
+
+    Computes what structure.jacobi_defect does, triple by triple, on integers:
+    each [e_i, e_j] is read once as a row of numerators over the lcm D of the
+    structure constants, so a defect is an integer sum over D^2.
+    """
+    relations = list(structure.relations())
+    denom = lcm(*(c.denominator for _, _, value in relations for _, c in value.terms))
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for i, j, value in relations:
+        row = {idx: c.numerator * (denom // c.denominator) for idx, c in value.terms}
+        rows[(i, j)] = row
+        rows[(j, i)] = {idx: -c for idx, c in row.items()}
+    square = denom * denom
+    empty: dict[int, int] = {}
     out = []
     n = structure.dim
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
-                defect = structure.jacobi_defect(i, j, k)
-                if not defect.is_zero:
-                    out.append(((i, j, k), defect))
+                acc: dict[int, int] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    # [[e_a, e_b], e_c] = sum over m of [e_a, e_b]_m [e_m, e_c]
+                    for m, cm in rows.get((a, b), empty).items():
+                        for t, ct in rows.get((m, c), empty).items():
+                            acc[t] = acc.get(t, 0) + cm * ct
+                if any(acc.values()):
+                    out.append(((i, j, k), LieElement._frozen(
+                        {t: Fraction(x, square) for t, x in acc.items() if x})))
     return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .sparse import SparseCombination
@@ -66,6 +67,13 @@ def monomial_runs(mono: Monomial) -> list[tuple[Variable, int]]:
     return [(v, sum(1 for _ in run)) for v, run in groupby(mono)]
 
 
+def clear_denominators(assignment: Mapping[Variable, Fraction]) -> tuple[int, dict]:
+    """(D, X): D the lcm of the value denominators and X[v] = D * x_v, an integer."""
+    values = {v: Fraction(x) for v, x in assignment.items()}
+    denom = lcm(*(x.denominator for x in values.values()))
+    return denom, {v: x.numerator * (denom // x.denominator) for v, x in values.items()}
+
+
 def _canonical_monomial(mono: Iterable[Variable]) -> Monomial:
     return tuple(sorted((check_variable(v) for v in mono), key=var_key))
 
@@ -120,15 +128,23 @@ class DeformPolynomial(SparseCombination):
 
     def evaluate(self, assignment: Mapping[Variable, Fraction]) -> Fraction:
         """Exact value with missing variables read as 0."""
-        total = Fraction(0)
+        return self._cleared_value(*clear_denominators(assignment))
+
+    def _cleared_value(self, denom: int, numerators: Mapping[Variable, int]) -> Fraction:
+        """Value at x_v = numerators[v] / denom, summed on integers.
+
+        A monomial of degree d contributes c * prod(X) / denom^d, so each
+        degree sums its integer numerators and the row builds one Fraction.
+        """
+        sums: dict[int, int] = {}
         for mono, coeff in self.terms:
-            value = Fraction(coeff)
+            value = coeff
             for v in mono:
-                value *= Fraction(assignment.get(v, 0))
-                if not value:
-                    break
-            total += value
-        return total
+                value *= numerators.get(v, 0)
+            if value:
+                sums[len(mono)] = sums.get(len(mono), 0) + value
+        top = max(sums, default=0)
+        return Fraction(sum(s * denom ** (top - d) for d, s in sums.items()), denom ** top)
 
     def restricted(self, keep) -> "DeformPolynomial":
         """Sub-polynomial of monomials whose variables all lie in keep."""

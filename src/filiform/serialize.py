@@ -41,6 +41,13 @@ def _json_shape(raw, shape: type, where: str):
     return raw
 
 
+def _json_field(obj: dict, key: str, where: str):
+    # a missing key would raise KeyError, which names neither the rule nor the part
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} key")
+    return obj[key]
+
+
 def _variable_from_json(item):
     if item == "x":
         return TOP
@@ -60,7 +67,7 @@ def _monomials_from_json(items) -> DeformPolynomial:
     terms = []
     for item in _json_shape(items, list, "monomials"):
         mono = []
-        runs = _json_shape(item, dict, "a monomial")["vars"]
+        runs = _json_field(_json_shape(item, dict, "a monomial"), "vars", "a monomial")
         for packed in _json_shape(runs, list, "monomial vars"):
             where = f"bad monomial run {packed!r}: runs"
             *var, power = _json_shape(packed, list, where)
@@ -69,7 +76,7 @@ def _monomials_from_json(items) -> DeformPolynomial:
             v = TOP if var == ["x"] else tuple(_json_int(c, where) for c in var)
             mono.extend([v] * power)
         # the constructor refuses a coefficient that is not an integer
-        terms.append((tuple(mono), _exact_value(item["coeff"])))
+        terms.append((tuple(mono), _exact_value(_json_field(item, "coeff", "a monomial"))))
     return DeformPolynomial(terms)
 
 
@@ -148,13 +155,15 @@ def write_system_json(system: EquationSystem, write) -> None:
 
 
 def parse_system_doc(doc) -> EquationSystem:
-    kind = _json_shape(doc, dict, "a system document")["kind"]
-    size = _json_int(doc["total_max" if kind == "truncated" else "n"], "system sizes")
+    where = "a system document"
+    kind = _json_field(_json_shape(doc, dict, where), "kind", where)
+    size = _json_int(_json_field(doc, "total_max" if kind == "truncated" else "n", where),
+                     "system sizes")
     if kind not in ("truncated", f"M_Fil({size})"):
         raise ValueError(f"system kind must be 'truncated' or 'M_Fil({size})', got {kind!r}")
-    variables = tuple(_variable_from_json(v)
-                      for v in _json_shape(doc["variables"], list, "variables"))
-    x_mode = doc["x_mode"]
+    declared = _json_shape(_json_field(doc, "variables", where), list, "variables")
+    variables = tuple(_variable_from_json(v) for v in declared)
+    x_mode = _json_field(doc, "x_mode", where)
     if kind == "truncated" and x_mode != "fixed-0":
         raise ValueError(f"a truncated system has no marker, so its x_mode is 'fixed-0', "
                          f"not {x_mode!r}")
@@ -164,14 +173,16 @@ def parse_system_doc(doc) -> EquationSystem:
         raise ValueError(f"declared variables are not the inventory of {kind} "
                          f"with x_mode {x_mode!r}")
     equations = []
-    for item in _json_shape(doc["equations"], list, "equations"):
-        raw = _json_shape(item, dict, "an equation")["label"]
+    for item in _json_shape(_json_field(doc, "equations", where), list, "equations"):
+        raw = _json_field(_json_shape(item, dict, "an equation"), "label", "an equation")
         if type(raw) is not list or len(raw) != 3:
             raise ValueError(f"bad equation label {raw!r}: labels need three entries")
         label = tuple(_json_int(c, f"bad equation label {raw!r}: labels") for c in raw)
-        if type(item["tilde"]) is not bool:
+        tilde = _json_field(item, "tilde", f"equation {label}")
+        if type(tilde) is not bool:
             raise ValueError(f"bad equation {label}: tilde must be a JSON boolean")
-        equations.append(Equation(label, _monomials_from_json(item["monomials"]), item["tilde"]))
+        monomials = _json_field(item, "monomials", f"equation {label}")
+        equations.append(Equation(label, _monomials_from_json(monomials), tilde))
     return EquationSystem(kind, size, x_mode, variables, tuple(equations))
 
 

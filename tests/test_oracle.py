@@ -1,9 +1,12 @@
 import ast
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filiform.lie import LieElement, make_fixture
 from filiform.oracle import (InconclusiveInventoryError, conclusive_inventory,
@@ -88,6 +91,16 @@ class TestOracleCoefficient:
         assert len(system) == 458
         for eq in system:
             assert oracle_coefficient(*eq.label) == eq.poly, eq.label
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_closed_form_on_random_labels_past_31(self, data):
+        # totals beyond the exhaustive sweep, one random label at a time
+        total = data.draw(st.integers(32, 45))
+        j = data.draw(st.integers(2, (total - 3) // 3))
+        q = data.draw(st.integers(j + 1, (total - j - 1) // 2))
+        label = (j, q, total - j - 2 * q - 1)
+        assert oracle_coefficient(*label) == f_poly(*label), label
 
     @pytest.mark.parametrize("n", range(10, 25, 2))
     def test_matches_even_top_rows(self, n):
@@ -215,6 +228,35 @@ class TestJacobiScan:
         structure = deformed_structure({(3, 0): Fraction(2)}, 9)
         assert jacobi_scan(structure) == [((2, 3, 4), e(9, 12))]
 
+    @staticmethod
+    def reference(structure):
+        # the LieElement route, triple by triple
+        triples = combinations(range(1, structure.dim + 1), 3)
+        return [(t, defect) for t in triples
+                if not (defect := structure.jacobi_defect(*t)).is_zero]
+
+    @pytest.mark.parametrize("n, assignment", [
+        (13, known_solution("L1", Fraction(-3, 7), bound=6)),
+        (24, known_solution("L1", Fraction(5, 2), bound=11)),
+        (14, {**known_solution("L1", bound=6), (2, 0): Fraction(4, 3)}),
+        (25, {**known_solution("L1", Fraction(2, 9), bound=12), (4, 0): Fraction(-2, 5)}),
+        (12, {TOP: Fraction(1), (2, 0): Fraction(1, 2)}),
+        (16, {TOP: Fraction(-3, 5), (3, 1): Fraction(2), (2, 0): Fraction(1, 6)}),
+    ], ids=["L1-13", "L1-24", "shifted-14", "shifted-25", "marker-12", "marker-16"])
+    def test_matches_reference_on_points(self, n, assignment):
+        structure = deformed_structure(assignment, n)
+        assert jacobi_scan(structure) == self.reference(structure)
+
+    @pytest.mark.parametrize("n", range(9, 26))
+    def test_matches_reference_on_fixtures(self, n):
+        fixtures = [make_fixture(name, n) for name in ("m0", "m2", "L1")]
+        fixtures += [make_fixture("mk", n, k=3), make_fixture("Lk", n, k=2),
+                     make_fixture("lacuna-of", n, s=2, base="L1")]
+        if n % 2 == 0:
+            fixtures.append(make_fixture("m1", n))
+        for structure in fixtures:
+            assert jacobi_scan(structure) == self.reference(structure), structure
+
 
 def test_first_violation_of_nonextendable_families():
     # both printed weight-2 partial solutions stall at the same label
@@ -228,7 +270,7 @@ def test_first_violation_of_nonextendable_families():
     assert first_violation(system, fam2b) == ((2, 7, 4), Fraction(-14, 3))
 
 
-@pytest.mark.parametrize("n", [11, 12, 14])
+@pytest.mark.parametrize("n", [11, 12, 14, 20, 25, 31])
 def test_defect_components_equal_residuals(n):
     # dual route: brute-force Jacobi defects against closed-form residuals
     rng = random.Random(n * 1009)

@@ -172,3 +172,26 @@ def test_evaluate_is_ring_homomorphism(a, b):
     point = {(j, s): Fraction(j - s, 3) for j in range(2, 6) for s in range(4)}
     assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
     assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
+
+
+some_variables = st.one_of(st.tuples(st.integers(2, 5), st.integers(0, 3)), st.just(TOP))
+# monomials of degree 0 to 2, the marker among the variables
+mixed_polys = st.lists(
+    st.tuples(st.lists(some_variables, max_size=2), st.integers(-9, 9)),
+    max_size=6,
+).map(P)
+some_values = st.one_of(st.just(0), st.integers(-6, 6),
+                        st.fractions(-20, 20, max_denominator=30))
+
+
+@given(mixed_polys, st.dictionaries(some_variables, some_values, max_size=6))
+def test_evaluate_equals_naive_fraction_sum(p, point):
+    # evaluate sums integer numerators over one common denominator
+    naive = Fraction(0)
+    for mono, coeff in p.terms:
+        value = Fraction(coeff)
+        for v in mono:
+            value *= Fraction(point.get(v, 0))
+        naive += value
+    value = p.evaluate(point)
+    assert type(value) is Fraction and value == naive

@@ -223,6 +223,27 @@ def test_parse_system_doc_needs_boolean_tilde(tilde):
         parse_system_doc(doc)
 
 
+@pytest.mark.parametrize("key, part", [
+    ("kind", lambda d: d),
+    ("n", lambda d: d),
+    ("variables", lambda d: d),
+    ("x_mode", lambda d: d),
+    ("equations", lambda d: d),
+    ("label", lambda d: d["equations"][0]),
+    ("tilde", lambda d: d["equations"][0]),
+    ("monomials", lambda d: d["equations"][0]),
+    ("coeff", lambda d: d["equations"][0]["monomials"][0]),
+    ("vars", lambda d: d["equations"][0]["monomials"][0]),
+], ids=["kind", "n", "variables", "x_mode", "equations", "label", "tilde", "monomials",
+        "coeff", "vars"])
+def test_parse_system_doc_names_a_missing_key(key, part):
+    # a missing key used to escape as a bare KeyError
+    doc = _doc_12()
+    del part(doc)[key]
+    with pytest.raises(ValueError, match=f"has no '{key}' key"):
+        parse_system_doc(doc)
+
+
 def _doc(system):
     return json.loads(canonical_json(system_doc(system)))
 
