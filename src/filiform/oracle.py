@@ -10,12 +10,12 @@ routes is the main correctness gate of the whole package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Mapping
 
 from .cochains import psi2_value
 from .lie import LieElement, LieStructure, _chain_relations
-from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators, var_key
+from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators, exact, var_key
 
 KNOWN_FAMILIES = ("m2", "L1", "mk", "L1-lacuna2")
 
@@ -120,7 +120,7 @@ def oracle_coefficient(j: int, q: int, r: int,
 def known_solution(name: str, t=1, k: int | None = None,
                    bound: int | None = None) -> dict[Variable, Fraction]:
     """Assignment for one of the families known to lie on the variety."""
-    t = Fraction(t)
+    t = exact(t)
     if name == "m2":
         return {(2, 0): t}
     if name == "mk":
@@ -160,7 +160,8 @@ def deformed_structure(assignment: Mapping[Variable, Fraction], n: int) -> LieSt
     """Chain bracket plus the assigned cocycle combination, cut at e_n."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    support = {v: Fraction(a) for v, a in assignment.items() if a}
+    values = {v: exact(a) for v, a in assignment.items()}
+    support = {v: a for v, a in values.items() if a}
     if TOP in support and n % 2:
         raise ValueError("the marker x needs an even dimension")
     cocycles = []
@@ -182,14 +183,16 @@ def jacobi_scan(structure: LieStructure):
     """All increasing triples with a nonzero cyclic defect, in order.
 
     Computes what structure.jacobi_defect does, triple by triple, on integers:
-    each [e_i, e_j] is read once as a row of numerators over the lcm D of the
-    structure constants, so a defect is an integer sum over D^2.
+    each [e_i, e_j] is read once as a row of numerators over the common
+    denominator D of the structure constants (clear_denominators, as for the
+    residuals), so a defect is an integer sum over D^2.
     """
     relations = list(structure.relations())
-    denom = lcm(*(c.denominator for _, _, value in relations for _, c in value.terms))
+    denom, numerators = clear_denominators(
+        {(i, j, idx): c for i, j, value in relations for idx, c in value.terms})
     rows: dict[tuple[int, int], dict[int, int]] = {}
     for i, j, value in relations:
-        row = {idx: c.numerator * (denom // c.denominator) for idx, c in value.terms}
+        row = {idx: numerators[(i, j, idx)] for idx, _ in value.terms}
         rows[(i, j)] = row
         rows[(j, i)] = {idx: -c for idx, c in row.items()}
     square = denom * denom

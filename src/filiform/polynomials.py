@@ -67,11 +67,18 @@ def monomial_runs(mono: Monomial) -> list[tuple[Variable, int]]:
     return [(v, sum(1 for _ in run)) for v, run in groupby(mono)]
 
 
-def clear_denominators(assignment: Mapping[Variable, Fraction]) -> tuple[int, dict]:
-    """(D, X): D the lcm of the value denominators and X[v] = D * x_v, an integer."""
-    values = {v: Fraction(x) for v, x in assignment.items()}
-    denom = lcm(*(x.denominator for x in values.values()))
-    return denom, {v: x.numerator * (denom // x.denominator) for v, x in values.items()}
+def exact(value) -> Fraction:
+    """value as a Fraction; a float has already lost exactness, so it is refused."""
+    if isinstance(value, float):
+        raise ValueError(f"value {value!r} is a float; pass an int, a Fraction or a string")
+    return Fraction(value)
+
+
+def clear_denominators(values: Mapping) -> tuple[int, dict]:
+    """(D, X): D the lcm of the value denominators and X[key] = D * values[key], an integer."""
+    exacts = {key: exact(x) for key, x in values.items()}
+    denom = lcm(*(x.denominator for x in exacts.values()))
+    return denom, {key: x.numerator * (denom // x.denominator) for key, x in exacts.items()}
 
 
 def _canonical_monomial(mono: Iterable[Variable]) -> Monomial:
@@ -174,8 +181,8 @@ class DeformPolynomial(SparseCombination):
 
         The marker x rescales with weight -1: x -> beta * alpha^{-1} * x.
         """
-        scaled = {v: Fraction(beta) * Fraction(alpha) ** var_weight(v) * Fraction(a)
-                  for v, a in assignment.items()}
+        alpha, beta = exact(alpha), exact(beta)
+        scaled = {v: beta * alpha ** var_weight(v) * exact(a) for v, a in assignment.items()}
         return self.evaluate(scaled)
 
     def text(self) -> str:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .lie import LieElement, LieStructure
 from .polynomials import TOP, DeformPolynomial, monomial_runs, var_cas, var_key
-from .systems import Equation, EquationSystem, variable_inventory
+from .systems import X_MODES, Equation, EquationSystem, declared_variables
 
 
 def canonical_json(doc) -> str:
@@ -167,9 +167,7 @@ def parse_system_doc(doc) -> EquationSystem:
     if kind == "truncated" and x_mode != "fixed-0":
         raise ValueError(f"a truncated system has no marker, so its x_mode is 'fixed-0', "
                          f"not {x_mode!r}")
-    # the marker is declared exactly when it stays symbolic in an even dimension
-    marker = kind != "truncated" and size % 2 == 0 and x_mode == "free"
-    if variables != tuple(variable_inventory(size)) + ((TOP,) if marker else ()):
+    if variables != declared_variables(size, x_mode):
         raise ValueError(f"declared variables are not the inventory of {kind} "
                          f"with x_mode {x_mode!r}")
     equations = []
@@ -182,7 +180,14 @@ def parse_system_doc(doc) -> EquationSystem:
         if type(tilde) is not bool:
             raise ValueError(f"bad equation {label}: tilde must be a JSON boolean")
         monomials = _json_field(item, "monomials", f"equation {label}")
-        equations.append(Equation(label, _monomials_from_json(monomials), tilde))
+        poly = _monomials_from_json(monomials)
+        # x = 1 leaves G's linear terms in each tilde row and nowhere else; G
+        # never vanishes, since its x_{j,r+1} coefficient is +-2
+        linear = any(len(mono) == 1 for mono, _ in poly.terms)
+        if linear != (tilde and X_MODES[x_mode] == ()):
+            raise ValueError(f"equation {label} {'has' if linear else 'lacks'} linear terms, "
+                             f"which contradicts x_mode {x_mode!r}")
+        equations.append(Equation(label, poly, tilde))
     return EquationSystem(kind, size, x_mode, variables, tuple(equations))
 
 

@@ -1,9 +1,13 @@
 """Closed-form quadratic systems cutting out the deformation varieties.
 
-f_poly and g_poly are literal loop transcriptions of the closed formulas;
-the out-of-range binomial terms vanish by the zero convention, so the
-floor-bracket sills only bound the loops, never the support.  The
-independent cross-check lives in oracle.py and never calls into here.
+F_{j,q,r} is a sum of products of linear forms, over t = 0..r of
+L1(t) R1_t + L2(t) R2_t + x_{q,t} R3_t: L1 and L2 pair the same binomials
+in l with x_{l,t} for every t, and R1_t, R2_t, R3_t pair binomials in m
+with x_{m,r-t}.  Out-of-range binomials vanish by the zero convention, so
+the floor-bracket sills only bound the loops, never the support.  At even
+n = 2k the marker x is x_{k,-1}, and a top row F + (-1)^{k-j-q} x G is the
+same sum taken to t = r+1.  The independent cross-check lives in oracle.py
+and never calls into here.
 """
 
 from __future__ import annotations
@@ -14,66 +18,65 @@ from typing import NamedTuple
 from .combinatorics import binomial, partitions_exact
 from .polynomials import TOP, DeformPolynomial, Variable
 
-X_MODES = ("free", "fixed-0", "fixed-1")
+# the marker's partner in the t = r+1 term of a top row: x kept (free),
+# x = 1 (fixed-1), or no such term at all (x = 0)
+X_MODES = {"free": (TOP,), "fixed-0": None, "fixed-1": ()}
 
 
-def _check_pair(j: int, q: int) -> None:
+def _check_label(j: int, q: int, r: int, r_min: int) -> None:
     if not (2 <= j < q):
         raise ValueError(f"equation label needs 2 <= j < q, got j={j}, q={q}")
+    if r < r_min:
+        raise ValueError(f"r must be >= {r_min}, got {r}")
+
+
+def _left_forms(j: int, q: int) -> tuple[list, list]:
+    """L1 and L2 as (l, coefficient) lists; they pair with x_{l,t} for any t."""
+    l1 = [(l, c) for l in range(j, (j + q - 1) // 2 + 1)
+          if (c := (-1) ** (l - j) * binomial(q - l - 1, l - j))]
+    l2 = [(l, c) for l in range(j, (j + q) // 2 + 1)
+          if (c := (-1) ** (l - j) * binomial(q - l, l - j))]
+    return l1, l2
+
+
+def _row(j: int, q: int, r: int, marker) -> DeformPolynomial:
+    """F_{j,q,r}, plus its t = r+1 term when marker is a partner from X_MODES."""
+    l1, l2 = _left_forms(j, q)
+    acc: dict = {}
+    for t in range(r + 1 if marker is None else r + 2):
+        m_hi = q + (j + t) // 2
+        # at t = r+1 only m = k = m_hi has a partner: x_{k,-1}, the marker
+        m_lo = j if t <= r else m_hi
+        r1 = [(m, c) for m in range(max(q + 1, m_lo), m_hi + 1)
+              if (c := (-1) ** (m - q) * binomial(j + q - m + t - 1, m - q - 1))]
+        # the m = q boundary term matters: it feeds the diagonal x_{q,t} row
+        r2 = [(m, c) for m in range(max(q, m_lo), m_hi + 1)
+              if (c := (-1) ** (m - q) * binomial(j + q - m + t, m - q))]
+        r3 = [(m, c) for m in range(m_lo, m_hi + 1)
+              if (c := (-1) ** (m - j + 1) * binomial(2 * q - m + t, m - j))]
+        for left, right in ((l1, r1), (l2, r2), ([(q, 1)], r3)):
+            for l, cl in left:
+                a = (l, t)
+                for m, cm in right:
+                    # a pair monomial is canonical once its two variables are in order
+                    b = (m, r - t)
+                    mono = (a,) + marker if t > r else (a, b) if a <= b else (b, a)
+                    acc[mono] = acc.get(mono, 0) + cl * cm
+    return DeformPolynomial._frozen(acc)
 
 
 def f_poly(j: int, q: int, r: int) -> DeformPolynomial:
     """Quadratic polynomial whose vanishing kills the e_{j+2q+1+r} defect."""
-    _check_pair(j, q)
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    acc: dict = {}
-
-    def add(a, b, c):
-        # a pair monomial is canonical once its two variables are in order
-        mono = (a, b) if a <= b else (b, a)
-        acc[mono] = acc.get(mono, 0) + c
-
-    for t in range(r + 1):
-        m_hi = q + (j + t) // 2
-        for l in range(j, (j + q - 1) // 2 + 1):
-            for m in range(q + 1, m_hi + 1):
-                c = binomial(q - l - 1, l - j) * binomial(j + q - m + t - 1, m - q - 1)
-                if c:
-                    add((l, t), (m, r - t), -c if (l - j + m - q) % 2 else c)
-        for l in range(j, (j + q) // 2 + 1):
-            # the m = q boundary term matters: it feeds the diagonal x_{q,t} row
-            for m in range(q, m_hi + 1):
-                c = binomial(q - l, l - j) * binomial(j + q - m + t, m - q)
-                if c:
-                    add((l, t), (m, r - t), -c if (l - j + m - q) % 2 else c)
-        for m in range(j, m_hi + 1):
-            c = binomial(2 * q - m + t, m - j)
-            if c:
-                add((q, t), (m, r - t), -c if (m - j + 1) % 2 else c)
-    return DeformPolynomial._frozen(acc)
+    _check_label(j, q, r, 0)
+    return _row(j, q, r, None)
 
 
 def g_poly(j: int, q: int, r: int) -> DeformPolynomial:
-    """Linear correction polynomial for the top-weight even-dimension rows."""
-    _check_pair(j, q)
-    if r < -1:
-        raise ValueError(f"r must be >= -1, got {r}")
-    acc: dict = {}
-
-    def add(l, c):
-        acc[((l, r + 1),)] = acc.get(((l, r + 1),), 0) + c
-
-    for l in range(j, (j + q - 1) // 2 + 1):
-        c = binomial(q - l - 1, l - j)
-        if c:
-            add(l, (-1 if l % 2 else 1) * c)
-    for l in range(j, (j + q) // 2 + 1):
-        c = binomial(q - l, l - j)
-        if c:
-            add(l, (-1 if l % 2 else 1) * c)
-    add(q, 1 if q % 2 else -1)
-    return DeformPolynomial._frozen(acc)
+    """Linear correction (-1)^j (L1 + L2)(r+1) - (-1)^q x_{q,r+1} of the top rows."""
+    _check_label(j, q, r, -1)
+    l1, l2 = _left_forms(j, q)
+    terms = [(l, (-1) ** j * c) for l, c in l1 + l2] + [(q, (-1) ** (q + 1))]
+    return DeformPolynomial((((l, r + 1),), c) for l, c in terms)
 
 
 class Equation(NamedTuple):
@@ -156,44 +159,41 @@ class EquationSystem:
         return f"EquationSystem({self.system_id}, {len(self.equations)} equations)"
 
 
+def declared_variables(size: int, x_mode: str) -> tuple[Variable, ...]:
+    """The inventory of size, plus the marker where x_mode keeps it at an even size."""
+    if x_mode not in X_MODES:
+        raise ValueError(f"unknown x_mode {x_mode!r}")
+    marker = X_MODES[x_mode] if size % 2 == 0 else None
+    return tuple(variable_inventory(size)) + (marker or ())
+
+
+def _system(kind: str, size: int, x_mode: str, marker_rows: bool) -> EquationSystem:
+    variables = declared_variables(size, x_mode)  # refuses an unknown x_mode
+    equations = []
+    for j, q, r in _system_labels(size, marker_rows):
+        tilde = marker_rows and j + 2 * q + 1 + r == size
+        marker = X_MODES[x_mode] if tilde else None
+        equations.append(Equation((j, q, r), _row(j, q, r, marker), tilde))
+    return EquationSystem(kind, size, x_mode, variables, tuple(equations))
+
+
 def system_finite(n: int, x_mode: str = "free") -> EquationSystem:
     """Defining system of the n-dimensional variety.
 
     Odd n: rows F_{j,q,r} over 9 <= j+2q+1+r <= n.  Even n = 2k: the
-    top-weight rows pick up the marker correction (-1)^{k-j-q} x G_{j,q,r},
-    and the r = -1 rows consist of that correction alone.
+    top-weight rows carry their t = r+1 marker term (-1)^{k-j-q} x G_{j,q,r},
+    and the r = -1 rows consist of that term alone.
     """
     if n < 9:
         raise ValueError(f"dimension must be >= 9, got {n}")
-    even = n % 2 == 0
-    k = n // 2
-    equations = []
-    for j, q, r in _system_labels(n, even):
-        if even and j + 2 * q + 1 + r == n:
-            sign = -1 if (k - j - q) % 2 else 1
-            xg = sign * (DeformPolynomial.variable(TOP) * g_poly(j, q, r))
-            poly = (f_poly(j, q, r) + xg) if r >= 0 else xg
-            if x_mode == "fixed-0":
-                poly = poly.substitute_top(0)
-            elif x_mode == "fixed-1":
-                poly = poly.substitute_top(1)
-            equations.append(Equation((j, q, r), poly, True))
-        else:
-            equations.append(Equation((j, q, r), f_poly(j, q, r), False))
-    variables: list[Variable] = list(variable_inventory(n))
-    if even and x_mode == "free":
-        variables.append(TOP)
-    return EquationSystem(f"M_Fil({n})", n, x_mode, tuple(variables), tuple(equations))
+    return _system(f"M_Fil({n})", n, x_mode, n % 2 == 0)
 
 
 def system_truncated(total_max: int) -> EquationSystem:
     """All rows F_{j,q,r} with j+2q+1+r <= total_max; no marker rows."""
     if total_max < 9:
         raise ValueError(f"truncation bound must be >= 9, got {total_max}")
-    equations = tuple(Equation((j, q, r), f_poly(j, q, r), False)
-                      for j, q, r in _system_labels(total_max, False))
-    variables = tuple(variable_inventory(total_max))
-    return EquationSystem("truncated", total_max, "fixed-0", variables, equations)
+    return _system("truncated", total_max, "fixed-0", False)
 
 
 def closed_form_counts(n: int) -> tuple[int, int]:

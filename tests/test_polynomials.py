@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from filiform.oracle import deformed_structure, evaluate_system, known_solution
 from filiform.polynomials import (TOP, DeformPolynomial, check_variable,
                                   var_cas, var_key, var_text, var_weight)
+from filiform.systems import system_finite
 
 P = DeformPolynomial
 x20 = P.variable((2, 0))
@@ -195,3 +197,20 @@ def test_evaluate_equals_naive_fraction_sum(p, point):
         naive += value
     value = p.evaluate(point)
     assert type(value) is Fraction and value == naive
+
+
+@pytest.mark.parametrize("call", [
+    lambda: x20.evaluate({(2, 0): 0.1}),
+    lambda: x20.scaled_substitution(Fraction(1), Fraction(1), {(2, 0): 0.5}),
+    lambda: x20.scaled_substitution(0.5, Fraction(1), {(2, 0): 1}),
+    lambda: x20.scaled_substitution(Fraction(1), 2.0, {(2, 0): 1}),
+    lambda: evaluate_system(system_finite(9), {(2, 0): 0.1}),
+    lambda: deformed_structure({(2, 0): 0.1}, 9),
+    lambda: deformed_structure({(2, 0): 0.0}, 9),
+    lambda: known_solution("m2", 0.1),
+], ids=["evaluate", "scaled-point", "scaled-alpha", "scaled-beta", "evaluate-system",
+        "deformed-structure", "deformed-structure-zero", "known-solution"])
+def test_floats_are_refused(call):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ValueError, match="float"):
+        call()

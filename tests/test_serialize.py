@@ -255,10 +255,15 @@ def _doc(system):
     (system_finite(12, "fixed-1"), "free"),
     (system_truncated(15), "free"),
     (system_truncated(15), "fixed-1"),
+    (system_finite(12, "fixed-1"), "fixed-0"),
+    (system_finite(12, "fixed-0"), "fixed-1"),
 ], ids=["free-as-fixed-0", "free-as-fixed-1", "fixed-0-as-free", "fixed-1-as-free",
-        "truncated-as-free", "truncated-as-fixed-1"])
+        "truncated-as-free", "truncated-as-fixed-1", "fixed-1-as-fixed-0",
+        "fixed-0-as-fixed-1"])
 def test_parse_system_doc_refuses_a_contradicting_x_mode(system, x_mode):
-    # a free n = 12 document relabelled fixed-0 used to parse with its marker
+    # a free n = 12 document relabelled fixed-0 used to parse with its marker;
+    # fixed-0 and fixed-1 declare the same variables, and differ in the linear
+    # terms that x = 1 leaves in the tilde rows
     doc = _doc(system)
     doc["x_mode"] = x_mode
     with pytest.raises(ValueError, match="x_mode"):

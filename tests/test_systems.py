@@ -135,6 +135,7 @@ def test_dims_report_builds_no_polynomial(monkeypatch):
 
     monkeypatch.setattr("filiform.systems.f_poly", refuse)
     monkeypatch.setattr("filiform.systems.g_poly", refuse)
+    monkeypatch.setattr("filiform.systems._row", refuse)
     for n in range(9, 41):
         assert sum(dims_report(n)["h3_by_weight"].values()) == closed_form_counts(n)[1]
 
@@ -199,6 +200,25 @@ def test_x_modes():
 
     with pytest.raises(ValueError):
         system_finite(12, "pinned")
+
+
+@pytest.mark.parametrize("n", range(10, 31, 2))
+def test_tilde_rows_equal_f_plus_signed_marker_times_g(n):
+    # each top row is F_{j,q,r} + (-1)^{k-j-q} x G_{j,q,r}, built as polynomials,
+    # with x then kept, set to 0 or set to 1
+    k = n // 2
+    for x_mode, value in (("free", None), ("fixed-0", 0), ("fixed-1", 1)):
+        for eq in system_finite(n, x_mode):
+            if not eq.tilde:
+                continue
+            j, q, r = eq.label
+            sign = -1 if (k - j - q) % 2 else 1
+            composed = sign * (P.variable(TOP) * g_poly(j, q, r))
+            if r >= 0:
+                composed = f_poly(j, q, r) + composed
+            if value is not None:
+                composed = composed.substitute_top(value)
+            assert eq.poly == composed, (x_mode, eq.label)
 
 
 def test_odd_system_equals_truncation():
