@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 from .combinatorics import binomial
 from .forms import ExtForm, _sort_with_sign, dminus1, omega
 from .lie import LieElement, LieStructure
+from .sparse import exact
 
 
 class AdjointCochain:
@@ -192,8 +193,8 @@ def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
         parts = []
         for p, idx in enumerate(tup):
             rest = tup[:p] + tup[p + 1:]
-            inner = c.value_on_basis(rest)
-            term = base.bracket(LieElement.basis(idx), inner).clipped(n)
+            term = LieElement._sum((coeff, base.bracket_basis(idx, j))
+                                   for j, coeff in c.value_on_basis(rest).terms).clipped(n)
             parts.append((-1 if p % 2 else 1, term))
         for p in range(len(tup)):
             for r in range(p + 1, len(tup)):
@@ -235,7 +236,7 @@ def nr_bracket22(a: AdjointCochain, b: AdjointCochain) -> AdjointCochain:
 def linear_combination(parts: Iterable[tuple[Fraction, AdjointCochain]], degree: int,
                        n: int) -> AdjointCochain:
     """sum c_i * f_i as a single cochain (weights need not match)."""
-    parts = [(Fraction(c), f) for c, f in parts]
+    parts = [(exact(c), f) for c, f in parts]
     for _, f in parts:
         if f.degree != degree or f.dim != n:
             raise ValueError("mixed degrees or cutoffs in linear combination")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .sparse import SparseCombination
+from .sparse import SparseCombination, exact
 
 
 def _sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -53,11 +53,11 @@ class ExtForm(SparseCombination):
             if idx < 1:
                 raise ValueError(f"dual index must be >= 1, got {idx}")
         mono, sign = _sort_with_sign(tuple(mono))
-        return mono, sign * Fraction(coeff)
+        return mono, sign * coeff
 
     @classmethod
     def monomial(cls, indices: Iterable[int], coeff=1) -> "ExtForm":
-        return cls(((tuple(indices), Fraction(coeff)),))
+        return cls(((tuple(indices), coeff),))
 
     @classmethod
     def generator(cls, i: int) -> "ExtForm":
@@ -77,7 +77,7 @@ class ExtForm(SparseCombination):
         return {sum(m) for m, _ in self.terms}
 
     def scaled(self, factor) -> "ExtForm":
-        return self._sum(((Fraction(factor), self),))
+        return self._sum(((exact(factor), self),))
 
     def __rmul__(self, factor) -> "ExtForm":
         return self.scaled(factor)

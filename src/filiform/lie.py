@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .sparse import SparseCombination
+from .sparse import SparseCombination, exact
 
 
 class LieElement(SparseCombination):
@@ -24,7 +24,7 @@ class LieElement(SparseCombination):
     def _canonical(index: int, coeff) -> tuple[int, Fraction]:
         if index < 1:
             raise ValueError(f"basis index must be >= 1, got {index}")
-        return index, Fraction(coeff)
+        return index, coeff
 
     @classmethod
     def basis(cls, index: int, coeff=1) -> "LieElement":
@@ -37,7 +37,7 @@ class LieElement(SparseCombination):
         return tuple(i for i, _ in self.terms)
 
     def scaled(self, factor) -> "LieElement":
-        return self._sum(((Fraction(factor), self),))
+        return self._sum(((exact(factor), self),))
 
     def __rmul__(self, factor) -> "LieElement":
         return self.scaled(factor)
@@ -168,9 +168,16 @@ def _fixture_lacuna(n: int, s: int, base: str) -> LieStructure:
     return LieStructure(n, rel, name=f"lacuna{s}-of-{base}({n})")
 
 
-# the parameters each stock structure takes
-_FIXTURE_PARAMS = {"m0": (), "m1": (), "m2": (), "mk": ("k",), "L1": (), "Lk": ("k",),
-                   "lacuna-of": ("s", "base")}
+# name -> (builder, the parameters it takes after n, in the builder's order)
+_FIXTURES = {
+    "m0": (lambda n: LieStructure(n, _chain_relations(n), name=f"m0({n})"), ()),
+    "m1": (_fixture_m1, ()),
+    "m2": (lambda n: _fixture_mk(n, 2), ()),
+    "mk": (_fixture_mk, ("k",)),
+    "L1": (lambda n: _fixture_Lk(n, 1), ()),
+    "Lk": (_fixture_Lk, ("k",)),
+    "lacuna-of": (_fixture_lacuna, ("s", "base")),
+}
 
 
 def make_fixture(name: str, n: int, k: int | None = None, s: int | None = None,
@@ -183,29 +190,14 @@ def make_fixture(name: str, n: int, k: int | None = None, s: int | None = None,
     """
     if n < 2:
         raise ValueError("fixture needs n >= 2")
-    if name not in _FIXTURE_PARAMS:
+    if name not in _FIXTURES:
         raise ValueError(f"unknown fixture name: {name!r}")
-    extra = [param for param, value in (("k", k), ("s", s), ("base", base))
-             if value is not None and param not in _FIXTURE_PARAMS[name]]
+    build, takes = _FIXTURES[name]
+    given = {"k": k, "s": s, "base": base}
+    extra = [param for param, value in given.items() if value is not None and param not in takes]
     if extra:
         raise ValueError(f"fixture {name} takes no parameter {', '.join(extra)}")
-    if name == "m0":
-        return LieStructure(n, _chain_relations(n), name=f"m0({n})")
-    if name == "m1":
-        return _fixture_m1(n)
-    if name == "m2":
-        return _fixture_mk(n, 2)
-    if name == "mk":
-        if k is None:
-            raise ValueError("mk needs parameter k")
-        return _fixture_mk(n, k)
-    if name == "L1":
-        return _fixture_Lk(n, 1)
-    if name == "Lk":
-        if k is None:
-            raise ValueError("Lk needs parameter k")
-        return _fixture_Lk(n, k)
-    if name == "lacuna-of":
-        if s is None or base is None:
-            raise ValueError("lacuna-of needs gap s and base name")
-        return _fixture_lacuna(n, s, base)
+    missing = [param for param in takes if given[param] is None]
+    if missing:
+        raise ValueError(f"{name} needs parameter {' and '.join(missing)}")
+    return build(n, *(given[param] for param in takes))

@@ -15,7 +15,8 @@ from typing import Mapping
 
 from .cochains import psi2_value
 from .lie import LieElement, LieStructure, _chain_relations
-from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators, exact, var_key
+from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators, var_key
+from .sparse import exact
 
 KNOWN_FAMILIES = ("m2", "L1", "mk", "L1-lacuna2")
 

@@ -13,7 +13,7 @@ from itertools import groupby
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .sparse import SparseCombination
+from .sparse import SparseCombination, exact
 
 Variable = Union[tuple[int, int], str]
 Monomial = tuple[Variable, ...]
@@ -67,13 +67,6 @@ def monomial_runs(mono: Monomial) -> list[tuple[Variable, int]]:
     return [(v, sum(1 for _ in run)) for v, run in groupby(mono)]
 
 
-def exact(value) -> Fraction:
-    """value as a Fraction; a float has already lost exactness, so it is refused."""
-    if isinstance(value, float):
-        raise ValueError(f"value {value!r} is a float; pass an int, a Fraction or a string")
-    return Fraction(value)
-
-
 def clear_denominators(values: Mapping) -> tuple[int, dict]:
     """(D, X): D the lcm of the value denominators and X[key] = D * values[key], an integer."""
     exacts = {key: exact(x) for key, x in values.items()}
@@ -101,9 +94,9 @@ class DeformPolynomial(SparseCombination):
 
     @staticmethod
     def _canonical(mono, coeff) -> tuple[Monomial, int]:
-        if coeff != int(coeff):
-            raise ValueError(f"coefficient {coeff!r} is not an integer")
-        return _canonical_monomial(mono), int(coeff)
+        if coeff.denominator != 1:
+            raise ValueError(f"coefficient {coeff} is not an integer")
+        return _canonical_monomial(mono), coeff.numerator
 
     @classmethod
     def variable(cls, v: Variable) -> "DeformPolynomial":
@@ -123,7 +116,7 @@ class DeformPolynomial(SparseCombination):
         return max((len(m) for m, _ in self.terms), default=0)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is no factor, and a Fraction would leave the integers
             return self._sum(((other, self),))
         if isinstance(other, DeformPolynomial):
             return DeformPolynomial((ma + mb, ca * cb)
@@ -182,7 +175,9 @@ class DeformPolynomial(SparseCombination):
         The marker x rescales with weight -1: x -> beta * alpha^{-1} * x.
         """
         alpha, beta = exact(alpha), exact(beta)
-        scaled = {v: beta * alpha ** var_weight(v) * exact(a) for v, a in assignment.items()}
+        # an int alpha stays an int, and int ** -1 would be a float
+        scaled = {v: beta * (Fraction(1, alpha) if v == TOP else alpha ** v[1]) * exact(a)
+                  for v, a in assignment.items()}
         return self.evaluate(scaled)
 
     def text(self) -> str:

@@ -8,11 +8,11 @@ unchanged.  Rationals travel as strings to keep floats out of the files.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .lie import LieElement, LieStructure
-from .polynomials import TOP, DeformPolynomial, monomial_runs, var_cas, var_key
-from .systems import X_MODES, Equation, EquationSystem, declared_variables
+from .polynomials import TOP, DeformPolynomial, check_variable, monomial_runs, var_cas, var_key
+from .sparse import exact
+from .systems import X_MODES, Equation, EquationSystem, _system_rows, declared_variables
 
 
 def canonical_json(doc) -> str:
@@ -20,7 +20,7 @@ def canonical_json(doc) -> str:
 
 
 def fraction_str(value) -> str:
-    return str(Fraction(value))
+    return str(exact(value))
 
 
 def _variable_json(v):
@@ -75,8 +75,8 @@ def _monomials_from_json(items) -> DeformPolynomial:
                 raise ValueError(f"{where} need a power >= 1")
             v = TOP if var == ["x"] else tuple(_json_int(c, where) for c in var)
             mono.extend([v] * power)
-        # the constructor refuses a coefficient that is not an integer
-        terms.append((tuple(mono), _exact_value(_json_field(item, "coeff", "a monomial"))))
+        # the constructor refuses a coefficient that is not an exact integer
+        terms.append((tuple(mono), _json_field(item, "coeff", "a monomial")))
     return DeformPolynomial(terms)
 
 
@@ -170,6 +170,7 @@ def parse_system_doc(doc) -> EquationSystem:
     if variables != declared_variables(size, x_mode):
         raise ValueError(f"declared variables are not the inventory of {kind} "
                          f"with x_mode {x_mode!r}")
+    rows = set(_system_rows(size, kind != "truncated" and size % 2 == 0))
     equations = []
     for item in _json_shape(_json_field(doc, "equations", where), list, "equations"):
         raw = _json_field(_json_shape(item, dict, "an equation"), "label", "an equation")
@@ -179,6 +180,8 @@ def parse_system_doc(doc) -> EquationSystem:
         tilde = _json_field(item, "tilde", f"equation {label}")
         if type(tilde) is not bool:
             raise ValueError(f"bad equation {label}: tilde must be a JSON boolean")
+        if (label, tilde) not in rows:
+            raise ValueError(f"{kind} has no row {label} with tilde {str(tilde).lower()}")
         monomials = _json_field(item, "monomials", f"equation {label}")
         poly = _monomials_from_json(monomials)
         # x = 1 leaves G's linear terms in each tilde row and nowhere else; G
@@ -210,7 +213,6 @@ def system_cas(system: EquationSystem) -> str:
 def _element_json(elem: LieElement) -> list:
     out = []
     for index, coeff in elem.terms:
-        coeff = Fraction(coeff)
         out.append({"index": index,
                     "numerator": coeff.numerator,
                     "denominator": coeff.denominator})
@@ -240,13 +242,6 @@ def assignment_doc(assignment) -> dict:
     return doc
 
 
-def _exact_value(raw) -> Fraction:
-    # a JSON float has already lost exactness; rationals travel as strings
-    if isinstance(raw, float):
-        raise ValueError(f"value {raw!r} is a float; write rationals as strings")
-    return Fraction(str(raw))
-
-
 def parse_assignment(doc) -> dict:
     """Assignment file body -> variable map with exact rational values."""
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
@@ -255,18 +250,17 @@ def parse_assignment(doc) -> dict:
     for item in doc["entries"]:
         try:
             j, s = item["j"], item["s"]
-            value = _exact_value(item["value"])
+            value = exact(item["value"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad assignment entry {item!r}: {exc}") from None
         j, s = (_json_int(c, f"bad assignment entry {item!r}: j and s") for c in (j, s))
-        if j < 2 or s < 0:
-            raise ValueError(f"entry ({j},{s}) is not a valid variable")
+        check_variable((j, s))
         if (j, s) in out:
             raise ValueError(f"duplicate entry for ({j},{s})")
         out[(j, s)] = value
     if "x" in doc:
         try:
-            out[TOP] = _exact_value(doc["x"])
+            out[TOP] = exact(doc["x"])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad marker value {doc['x']!r}: {exc}") from None
     return out

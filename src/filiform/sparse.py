@@ -5,14 +5,28 @@ sum c_k * k over canonical keys k with nonzero Fraction or int coefficients.
 They share this base and differ only in their key rule (_canonical), their
 term order (_order) and their own methods.
 
-Keys are checked once, at the public constructor.  Internal sums add the
-terms of already canonical values into one dict and freeze it once, so a
-loop over many parts costs one sort rather than one per step.
+Coefficients, like keys, are checked once, at the public constructor, by
+exact: the one rule for what an exact value is.  Internal sums add the terms
+of already canonical values into one dict and freeze it once, so a loop over
+many parts costs one sort rather than one per step.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
+
+
+def exact(value):
+    """An int or a Fraction unchanged, a rational string as a Fraction; else ValueError.
+
+    A float has already lost exactness, and a bool is no number here.
+    """
+    if type(value) is int or isinstance(value, Fraction):
+        return value
+    if type(value) is str:
+        return Fraction(value)
+    raise ValueError(f"value {value!r} is a {type(value).__name__}; write rationals as strings")
 
 
 class SparseCombination:
@@ -24,13 +38,13 @@ class SparseCombination:
     def __new__(cls, terms: Iterable = ()):
         acc: dict = {}
         for key, coeff in terms:
-            key, coeff = cls._canonical(key, coeff)
+            key, coeff = cls._canonical(key, exact(coeff))
             acc[key] = acc.get(key, 0) + coeff
         return cls._frozen(acc)
 
     @staticmethod
     def _canonical(key, coeff):
-        """(key, coeff) as stored; raises ValueError on a key outside the class."""
+        """(key, coeff) as stored, coeff already exact; ValueError on a key outside the class."""
         raise NotImplementedError
 
     @classmethod

@@ -95,16 +95,17 @@ def variable_inventory(n: int) -> list[tuple[int, int]]:
     return [(j, s) for j in range(2, (n - 1) // 2 + 1) for s in range(n - 2 * j)]
 
 
-def _system_labels(n: int, marker_rows: bool) -> list[tuple[int, int, int]]:
-    """Labels (j, q, r) of totals 9..n in (total, j, q) order; marker_rows adds r = -1 at n."""
-    labels = []
+def _system_rows(n: int, marker_rows: bool) -> list[tuple[tuple[int, int, int], bool]]:
+    """(label, tilde) of totals 9..n in (total, j, q) order; marker rows at n: tilde, r >= -1."""
+    rows = []
     for w in range(9, n + 1):
-        r_min = -1 if marker_rows and w == n else 0
+        tilde = marker_rows and w == n
+        r_min = -1 if tilde else 0
         for j in range(2, w):
             # r = w - j - 2q - 1 >= r_min caps q
             for q in range(j + 1, (w - j - 1 - r_min) // 2 + 1):
-                labels.append((j, q, w - j - 2 * q - 1))
-    return labels
+                rows.append(((j, q, w - j - 2 * q - 1), tilde))
+    return rows
 
 
 class EquationSystem:
@@ -170,8 +171,7 @@ def declared_variables(size: int, x_mode: str) -> tuple[Variable, ...]:
 def _system(kind: str, size: int, x_mode: str, marker_rows: bool) -> EquationSystem:
     variables = declared_variables(size, x_mode)  # refuses an unknown x_mode
     equations = []
-    for j, q, r in _system_labels(size, marker_rows):
-        tilde = marker_rows and j + 2 * q + 1 + r == size
+    for (j, q, r), tilde in _system_rows(size, marker_rows):
         marker = X_MODES[x_mode] if tilde else None
         equations.append(Equation((j, q, r), _row(j, q, r, marker), tilde))
     return EquationSystem(kind, size, x_mode, variables, tuple(equations))
@@ -221,17 +221,17 @@ def dims_report(n: int) -> dict:
     num_vars, num_eqs = closed_form_counts(n)
     p2_sum = sum(partitions_exact(2, m) for m in range(2, n - 2))
     pairs = variable_inventory(n)
-    labels = _system_labels(n, n % 2 == 0)
+    rows = _system_rows(n, n % 2 == 0)
     if not (num_vars == p2_sum == len(pairs)):
         raise ArithmeticError(
             f"variable counts disagree at n={n}: "
             f"closed {num_vars}, partition sum {p2_sum}, enumerated {len(pairs)}")
-    if num_eqs != len(labels):
+    if num_eqs != len(rows):
         raise ArithmeticError(
             f"equation counts disagree at n={n}: "
-            f"closed {num_eqs}, enumerated {len(labels)}")
+            f"closed {num_eqs}, enumerated {len(rows)}")
     h2 = Counter(s for _, s in pairs)
-    h3 = Counter(r for _, _, r in labels)
+    h3 = Counter(r for (_, _, r), _ in rows)
     return {
         "num_vars": num_vars,
         "num_eqs": num_eqs,

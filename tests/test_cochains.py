@@ -135,6 +135,27 @@ def test_d_adjoint_simple_cochain():
     assert dc.value(2, 1) == -e(6)
 
 
+@pytest.mark.parametrize("name, cochain", [
+    ("L1", psi2(2, 0, 9)), ("m2", psi2(3, 1, 9)), ("L1", psi3(2, 3, 0, 9)),
+], ids=["psi2-on-L1", "psi2-on-m2", "psi3-on-L1"])
+def test_d_adjoint_equals_the_differential_formula(name, cochain):
+    # on m0 only [e_1, .] is nonzero and the cocycles vanish on e_1, so the
+    # sign of the [x_i, c(..)] terms at odd positions shows only on other bases
+    n = cochain.dim
+    base = make_fixture(name, n)
+    dc = d_adjoint(cochain, base)
+    for tup in combinations(range(1, n + 1), cochain.degree + 1):
+        expected = LieElement.zero()
+        for p, idx in enumerate(tup):
+            rest = tup[:p] + tup[p + 1:]
+            expected += (-1) ** p * base.bracket(e(idx), cochain.value(*rest))
+        for p, r in combinations(range(len(tup)), 2):
+            rest = tuple(v for t, v in enumerate(tup) if t not in (p, r))
+            bracket = base.bracket_basis(tup[p], tup[r])
+            expected += (-1) ** (p + r) * cochain.value_with_element(bracket, rest)
+        assert dc.value_on_basis(tup) == expected, tup
+
+
 @pytest.mark.parametrize("n", [9, 12])
 def test_psi2_closed(n):
     m0 = make_fixture("m0", n)

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from filiform.cochains import linear_combination, psi2
+from filiform.forms import ExtForm
+from filiform.lie import LieElement
 from filiform.oracle import deformed_structure, evaluate_system, known_solution
 from filiform.polynomials import (TOP, DeformPolynomial, check_variable,
                                   var_cas, var_key, var_text, var_weight)
+from filiform.sparse import exact
 from filiform.systems import system_finite
 
 P = DeformPolynomial
@@ -208,9 +212,61 @@ def test_evaluate_equals_naive_fraction_sum(p, point):
     lambda: deformed_structure({(2, 0): 0.1}, 9),
     lambda: deformed_structure({(2, 0): 0.0}, 9),
     lambda: known_solution("m2", 0.1),
+    lambda: LieElement([(3, 0.1)]),
+    lambda: LieElement.basis(3).scaled(0.5),
+    lambda: ExtForm.monomial((2, 3), 0.25),
+    lambda: 0.5 * ExtForm.generator(2),
+    lambda: DeformPolynomial.term(2.0, (2, 0)),
+    lambda: linear_combination([(0.5, psi2(2, 0, 9))], 2, 9),
 ], ids=["evaluate", "scaled-point", "scaled-alpha", "scaled-beta", "evaluate-system",
-        "deformed-structure", "deformed-structure-zero", "known-solution"])
+        "deformed-structure", "deformed-structure-zero", "known-solution", "lie-element",
+        "lie-scaled", "form-monomial", "form-rmul", "polynomial-term", "linear-combination"])
 def test_floats_are_refused(call):
     # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(ValueError, match="float"):
         call()
+
+
+@pytest.mark.parametrize("call, kind", [
+    (lambda: LieElement.basis(3, True), "bool"),
+    (lambda: DeformPolynomial.term(True, (2, 0)), "bool"),
+    (lambda: known_solution("m2", True), "bool"),
+    (lambda: exact([1]), "list"),
+], ids=["lie-basis", "polynomial-term", "known-solution", "exact-list"])
+def test_other_types_are_refused(call, kind):
+    # Fraction(True) and int(True) are 1, and Fraction([1]) raised TypeError
+    with pytest.raises(ValueError, match=f"is a {kind}"):
+        call()
+
+
+@pytest.mark.parametrize("value, expected", [
+    (3, 3), (Fraction(-3, 7), Fraction(-3, 7)), ("-3/7", Fraction(-3, 7)), ("6/2", Fraction(3)),
+], ids=["int", "fraction", "string", "integral-string"])
+def test_exact_values_keep_their_values(value, expected):
+    # ints stay ints, and every constructor applies the same rule
+    assert exact(value) == expected and type(exact(value)) is type(expected)
+    for elem in (LieElement.basis(3, value), LieElement.basis(3).scaled(value)):
+        assert elem.terms == ((3, expected),) and type(elem.terms[0][1]) is type(expected)
+    form = ExtForm.monomial((3, 2), value)
+    assert form.terms == (((2, 3), -expected),) and type(form.terms[0][1]) is type(expected)
+
+
+@pytest.mark.parametrize("value", [3, Fraction(6, 2), "3", "6/2"],
+                         ids=["int", "fraction", "string", "integral-string"])
+def test_integral_values_are_integer_coefficients(value):
+    coeff = DeformPolynomial.term(value, (2, 0)).coefficient((2, 0))
+    assert coeff == 3 and type(coeff) is int
+
+
+@pytest.mark.parametrize("factor", [True, 2.0, Fraction(1, 2)], ids=["bool", "float", "fraction"])
+def test_polynomials_multiply_by_ints_only(factor):
+    # True * x used to return x
+    with pytest.raises(TypeError):
+        factor * x20
+    assert 2 * x20 == x20 * 2 == P.term(2, (2, 0))
+
+
+def test_scaling_by_an_int_keeps_the_marker_exact():
+    # an int alpha stays an int, and the marker's alpha ** -1 must not become a float
+    value = (x20 * top).scaled_substitution(2, 3, {(2, 0): 1, TOP: 1})
+    assert value == Fraction(9, 2) and type(value) is Fraction

@@ -285,6 +285,28 @@ def test_parse_system_doc_needs_the_inventory(system, edit):
         parse_system_doc(doc)
 
 
+def _top_row(doc):
+    return next(eq for eq in doc["equations"] if eq["tilde"])
+
+
+@pytest.mark.parametrize("system, edit", [
+    (system_finite(12), lambda d: d["equations"][0].update(label=[2, 3, 5])),
+    (system_finite(12), lambda d: d["equations"][0].update(label=[3, 3, 2])),
+    (system_finite(12), lambda d: d["equations"][0].update(tilde=True)),
+    (system_finite(12, "fixed-0"), lambda d: d["equations"][0].update(tilde=True)),
+    (system_finite(12), lambda d: _top_row(d).update(tilde=False)),
+    (system_truncated(15), lambda d: d["equations"][0].update(label=[2, 3, -1])),
+    (system_finite(13), lambda d: d["equations"][0].update(label=[2, 3, -1])),
+], ids=["total-above-n", "j-not-below-q", "tilde-on-a-lower-row", "tilde-in-fixed-0",
+        "top-row-without-tilde", "marker-label-in-truncated", "marker-label-at-odd-n"])
+def test_parse_system_doc_refuses_a_row_the_document_cannot_hold(system, edit):
+    # each used to parse: only the linear-term rule of fixed-1 documents looked at tilde
+    doc = _doc(system)
+    edit(doc)
+    with pytest.raises(ValueError, match="has no row"):
+        parse_system_doc(doc)
+
+
 @pytest.mark.parametrize("label", [5, None, "230", {"j": 2}])
 def test_parse_system_doc_refuses_a_label_that_is_not_a_list(label):
     # a number used to raise TypeError ("'int' object is not iterable")
