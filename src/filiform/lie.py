@@ -22,8 +22,8 @@ class LieElement(SparseCombination):
 
     @staticmethod
     def _canonical(index: int, coeff) -> tuple[int, Fraction]:
-        if index < 1:
-            raise ValueError(f"basis index must be >= 1, got {index}")
+        if type(index) is not int or index < 1:
+            raise ValueError(f"basis index must be an int >= 1, got {index!r}")
         return index, coeff
 
     @classmethod

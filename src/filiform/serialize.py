@@ -211,12 +211,8 @@ def system_cas(system: EquationSystem) -> str:
 
 
 def _element_json(elem: LieElement) -> list:
-    out = []
-    for index, coeff in elem.terms:
-        out.append({"index": index,
-                    "numerator": coeff.numerator,
-                    "denominator": coeff.denominator})
-    return out
+    return [{"index": index, "numerator": coeff.numerator, "denominator": coeff.denominator}
+            for index, coeff in elem.terms]
 
 
 def fixture_doc(structure: LieStructure) -> dict:
@@ -251,7 +247,7 @@ def parse_assignment(doc) -> dict:
         try:
             j, s = item["j"], item["s"]
             value = exact(item["value"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad assignment entry {item!r}: {exc}") from None
         j, s = (_json_int(c, f"bad assignment entry {item!r}: j and s") for c in (j, s))
         check_variable((j, s))
@@ -261,7 +257,7 @@ def parse_assignment(doc) -> dict:
     if "x" in doc:
         try:
             out[TOP] = exact(doc["x"])
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad marker value {doc['x']!r}: {exc}") from None
     return out
 

@@ -25,7 +25,10 @@ def exact(value):
     if type(value) is int or isinstance(value, Fraction):
         return value
     if type(value) is str:
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"value {value!r} has a zero denominator") from None
     raise ValueError(f"value {value!r} is a {type(value).__name__}; write rationals as strings")
 
 

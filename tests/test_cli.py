@@ -208,6 +208,18 @@ def test_check_bad_assignment_file(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"entries": [{"j": 2, "s": 0, "value": "1/0"}]}, "bad assignment entry"),
+    ({"entries": [], "x": "1/0"}, "bad marker value"),
+], ids=["entry", "marker"])
+def test_check_refuses_a_zero_denominator(capsys, tmp_path, doc, message):
+    src = tmp_path / "assign.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--dim", "12", "--assign", str(src))
+    assert code == 2 and out == ""
+    assert message in err and "zero denominator" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("entries", [5, None])
 def test_check_refuses_non_list_entries(capsys, tmp_path, entries):
     src = tmp_path / "assign.json"

@@ -135,14 +135,33 @@ def test_d_adjoint_simple_cochain():
     assert dc.value(2, 1) == -e(6)
 
 
-@pytest.mark.parametrize("name, cochain", [
-    ("L1", psi2(2, 0, 9)), ("m2", psi2(3, 1, 9)), ("L1", psi3(2, 3, 0, 9)),
-], ids=["psi2-on-L1", "psi2-on-m2", "psi3-on-L1"])
-def test_d_adjoint_equals_the_differential_formula(name, cochain):
+def _first_slot(f, vector, *rest):
+    # f(vector, *rest) by linearity in the first slot, built from f.value
+    out = LieElement.zero()
+    for idx, coeff in vector.terms:
+        out += coeff * f.value(idx, *rest)
+    return out
+
+
+def _combination(n):
+    return linear_combination([(Fraction(2, 3), psi2(2, 0, n)), (Fraction(-5, 2), psi2(3, 1, n)),
+                               ("7/4", psi2(2, 2, n)), (3, psi2(4, 0, n))], 2, n)
+
+
+@pytest.mark.parametrize("name, cochain, extra", [
+    ("L1", psi2(2, 0, 9), 0), ("m2", psi2(3, 1, 9), 0), ("L1", psi3(2, 3, 0, 9), 0),
+    ("L1", psi2(3, 1, 10, method="series"), 0), ("m2", _combination(10), 0),
+    ("m2", psi3(2, 3, 1, 10), 0), ("L1", psi2(2, 0, 9), 3), ("m2", _combination(10), 3),
+    ("L1", psi3(2, 3, 0, 10), 3),
+], ids=["psi2-on-L1", "psi2-on-m2", "psi3-on-L1", "psi2-series-on-L1", "psi2-combination-on-m2",
+        "psi3-on-m2", "psi2-on-L1-above-n", "psi2-combination-on-m2-above-n",
+        "psi3-on-L1-above-n"])
+def test_d_adjoint_equals_the_differential_formula(name, cochain, extra):
     # on m0 only [e_1, .] is nonzero and the cocycles vanish on e_1, so the
-    # sign of the [x_i, c(..)] terms at odd positions shows only on other bases
+    # sign of the [x_i, c(..)] terms at odd positions shows only on other bases;
+    # a base above n has brackets past e_n, which d_adjoint drops
     n = cochain.dim
-    base = make_fixture(name, n)
+    base = make_fixture(name, n + extra)
     dc = d_adjoint(cochain, base)
     for tup in combinations(range(1, n + 1), cochain.degree + 1):
         expected = LieElement.zero()
@@ -151,9 +170,9 @@ def test_d_adjoint_equals_the_differential_formula(name, cochain):
             expected += (-1) ** p * base.bracket(e(idx), cochain.value(*rest))
         for p, r in combinations(range(len(tup)), 2):
             rest = tuple(v for t, v in enumerate(tup) if t not in (p, r))
-            bracket = base.bracket_basis(tup[p], tup[r])
-            expected += (-1) ** (p + r) * cochain.value_with_element(bracket, rest)
-        assert dc.value_on_basis(tup) == expected, tup
+            bracket = base.bracket_basis(tup[p], tup[r]).clipped(n)
+            expected += (-1) ** (p + r) * _first_slot(cochain, bracket, *rest)
+        assert dc.value_on_basis(tup) == expected.clipped(n), tup
 
 
 @pytest.mark.parametrize("n", [9, 12])
@@ -193,6 +212,24 @@ def test_nr_bracket_square_value():
     psi = psi2(3, 0, 12)
     sq = nr_bracket22(psi, psi)
     assert sq.value(2, 3, 4) == e(9, 6)  # twice the cyclic half-square
+
+
+@pytest.mark.parametrize("a, b", [
+    (psi2(2, 0, 12), psi2(3, 1, 12)), (_combination(12), _combination(12)),
+    (_combination(12), psi2(3, 0, 12, method="series")), (psi_top(6), psi2(2, 1, 12)),
+], ids=["two-cocycles", "combination-squared", "combination-and-series", "top-and-cocycle"])
+def test_nr_bracket_equals_the_six_term_formula(a, b):
+    n = a.dim
+    ab = nr_bracket22(a, b)
+    for x, y, z in combinations(range(1, n + 1), 3):
+        expected = LieElement.zero()
+        for f, g in ((a, b), (b, a)):
+            for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+                inner = g.value(u, v)
+                part = _first_slot(f, inner, w)
+                assert f.value_with_element(inner, (w,)) == part
+                expected += part
+        assert ab.value_on_basis((x, y, z)) == expected, (x, y, z)
 
 
 def test_nr_bracket_rejects_mixed():

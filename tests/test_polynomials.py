@@ -239,6 +239,29 @@ def test_other_types_are_refused(call, kind):
         call()
 
 
+@pytest.mark.parametrize("value", ["1/0", "-3/0", "0/0"])
+def test_a_zero_denominator_is_a_value_error(value):
+    # Fraction's ZeroDivisionError used to escape the coefficient rule
+    with pytest.raises(ValueError, match="zero denominator"):
+        exact(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: LieElement([(True, 2)]),
+    lambda: LieElement([(2.5, 1)]),
+    lambda: LieElement.basis(2.0),
+    lambda: LieElement.basis(Fraction(3)),
+    lambda: ExtForm.monomial((2.0, 3)),
+    lambda: ExtForm.monomial((2, True)),
+    lambda: ExtForm.generator("2"),
+], ids=["lie-bool", "lie-float", "lie-integral-float", "lie-fraction", "form-float",
+        "form-bool", "form-string"])
+def test_indices_are_ints(call):
+    # LieElement([(True, 2)]) was 2*eTrue and ExtForm.monomial((2.0, 3)) was e2.0^e3
+    with pytest.raises(ValueError, match="must be an int"):
+        call()
+
+
 @pytest.mark.parametrize("value, expected", [
     (3, 3), (Fraction(-3, 7), Fraction(-3, 7)), ("-3/7", Fraction(-3, 7)), ("6/2", Fraction(3)),
 ], ids=["int", "fraction", "string", "integral-string"])

@@ -307,6 +307,15 @@ def test_parse_system_doc_refuses_a_row_the_document_cannot_hold(system, edit):
         parse_system_doc(doc)
 
 
+@pytest.mark.parametrize("coeff", ["1/0", "-2/0"])
+def test_parse_system_doc_refuses_a_zero_denominator(coeff):
+    # Fraction's ZeroDivisionError used to escape as a non-ValueError
+    doc = _doc(system_finite(12))
+    doc["equations"][0]["monomials"][0]["coeff"] = coeff
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_system_doc(doc)
+
+
 @pytest.mark.parametrize("label", [5, None, "230", {"j": 2}])
 def test_parse_system_doc_refuses_a_label_that_is_not_a_list(label):
     # a number used to raise TypeError ("'int' object is not iterable")
