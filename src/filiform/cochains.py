@@ -4,9 +4,8 @@ A cochain of degree q assigns a vector to each increasing basis q-tuple.
 Values are memoized; evaluation on arbitrary index tuples routes through
 the permutation sign, and any tuple containing index 1 evaluates to zero
 for the standard weighted cocycles (their scalar parts have no e^1 factor).
-A value built from other values (d_adjoint, value_with_element, nr_bracket22)
-adds factor * stored terms into one accumulator, frozen once: an out-of-order
-tuple folds its sign into the factor, and targets above n are dropped on entry.
+d_adjoint and value_with_element build a value as one accumulator, frozen once;
+an out-of-order tuple folds its sign into the factor of the stored value.
 
 The weight-s degree-2 cocycle attached to sill index j has the closed form
     Psi_{j,s}(e_k, e_m) = (-1)^{j-k} C(m-j-1, j-k) e_{m+k+s},  k < m,
@@ -73,17 +72,14 @@ class AdjointCochain:
         """Linear extension in the first slot: value(elem, *rest)."""
         if len(rest) + 1 != self.degree:
             raise ValueError(f"expected {self.degree} indices, got {len(rest) + 1}")
-        return LieElement._frozen(self._add_with({}, 1, elem.terms, tuple(rest)))
+        return LieElement._sum(self._parts_with_element(elem, rest))
 
-    def _add_with(self, acc: dict, factor, terms, rest: tuple[int, ...]) -> dict:
-        """acc plus factor * coeff * value(idx, *rest) over the terms (idx, coeff)."""
-        for idx, coeff in terms:
+    def _parts_with_element(self, elem: LieElement, rest: Sequence[int], factor=1):
+        """Pairs (f, stored value) whose sum is factor * value(elem, *rest)."""
+        for idx, coeff in elem.terms:
             tup, sign = _sort_with_sign((idx, *rest))
             if sign:
-                f = sign * factor * coeff
-                for t, x in self.value_on_basis(tup).terms:
-                    acc[t] = acc.get(t, 0) + f * x
-        return acc
+                yield sign * factor * coeff, self.value_on_basis(tup)
 
     def __repr__(self) -> str:
         tag = self.label or "cochain"
@@ -201,32 +197,35 @@ def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
                        + sum_{i<j} (-1)^{i+j} c([x_i,x_j], .. x_i .. x_j ..)
     with 1-based positions and hats marking omitted arguments.
 
-    The base's brackets are read once into rows with their targets above n
-    dropped, so no such target enters a value; each value adds its terms
-    into one accumulator, frozen once.
+    Brackets are read once into rows, targets above n dropped; each value sums
+    (factor, row) and (factor, value of c) pairs in one accumulator, frozen once.
     """
     if base.dim < c.dim:
         raise ValueError("base structure cutoff below cochain cutoff")
     n = c.dim
-    rows: dict[tuple[int, int], tuple] = {}
+    rows: dict[tuple[int, int], LieElement] = {}
     for i, j, value in base.relations():
-        row = value.clipped(n).terms
-        rows[(i, j)], rows[(j, i)] = row, tuple((t, -x) for t, x in row)
+        rows[(i, j)] = value.clipped(n)
+        rows[(j, i)] = -rows[(i, j)]
 
-    def rule(tup: tuple[int, ...]) -> LieElement:
-        acc: dict = {}
+    def parts(tup: tuple[int, ...]):
         for p, idx in enumerate(tup):
             for j, cj in c.value_on_basis(tup[:p] + tup[p + 1:]).terms:
-                f = -cj if p % 2 else cj
-                for t, x in rows.get((idx, j), ()):
-                    acc[t] = acc.get(t, 0) + f * x
+                row = rows.get((idx, j))
+                if row is not None:
+                    yield -cj if p % 2 else cj, row
+                elif j > base.dim:
+                    raise ValueError(f"basis index out of range: ({idx},{j}) "
+                                     f"with cutoff {base.dim}")
         for p, r in combinations(range(len(tup)), 2):
             row = rows.get((tup[p], tup[r]))
-            if row:
+            if row is not None:
+                rest = tup[:p] + tup[p + 1:r] + tup[r + 1:]
                 # 1-based positions: sign (-1)^{(p+1)+(r+1)} = (-1)^{p+r}
-                c._add_with(acc, -1 if (p + r) % 2 else 1, row,
-                            tup[:p] + tup[p + 1:r] + tup[r + 1:])
-        return LieElement._frozen(acc)
+                yield from c._parts_with_element(row, rest, -1 if (p + r) % 2 else 1)
+
+    def rule(tup: tuple[int, ...]) -> LieElement:
+        return LieElement._sum(parts(tup))
 
     label = f"d({c.label})" if c.label else "d(cochain)"
     return AdjointCochain(c.degree + 1, n, rule, weight=c.weight, label=label)
@@ -246,12 +245,9 @@ def nr_bracket22(a: AdjointCochain, b: AdjointCochain) -> AdjointCochain:
 
     def rule(tup: tuple[int, ...]) -> LieElement:
         x, y, z = tup
-        acc: dict = {}
-        for f, g in ((a, b), (b, a)):
-            # g(z, x) is read as -g(x, z)
-            for u, v, w, sign in ((x, y, z, 1), (y, z, x, 1), (x, z, y, -1)):
-                f._add_with(acc, sign, g.value_on_basis((u, v)).terms, (w,))
-        return LieElement._frozen(acc)
+        return LieElement._sum((1, f.value_with_element(g.value(u, v), (w,)))
+                               for f, g in ((a, b), (b, a))
+                               for u, v, w in ((x, y, z), (y, z, x), (z, x, y)))
 
     label = f"[{a.label or 'a'},{b.label or 'b'}]"
     return AdjointCochain(3, a.dim, rule, weight=weight, label=label)
@@ -290,7 +286,8 @@ def decompose3(phi: AdjointCochain) -> dict[tuple[int, int, int], Fraction]:
     n = phi.dim
     for k in range(2, n):
         for m in range(k + 1, n + 1):
-            if not phi.value_on_basis((1, k, m)).is_zero:
+            bad = phi.value_on_basis((1, k, m))
+            if not bad.is_zero:
                 raise DecompositionError("nonzero value on a triple containing e_1",
                                          (1, k, m))
     coords: dict[tuple[int, int, int], Fraction] = {}

@@ -87,15 +87,24 @@ class ExtForm(SparseCombination):
 
 
 def wedge(a: ExtForm, b: ExtForm) -> ExtForm:
-    return ExtForm((ma + mb, ca * cb) for ma, ca in a.terms for mb, cb in b.terms)
+    out = []
+    for ma, ca in a.terms:
+        for mb, cb in b.terms:
+            out.append((ma + mb, ca * cb))
+    return ExtForm(out)
 
 
 def d1(f: ExtForm) -> ExtForm:
     """Degree-0 derivation: e^1 is rejected, e^2 -> 0, e^i -> e^{i-1}."""
-    if any(1 in mono for mono, _ in f.terms):
-        raise ValueError("d1 is undefined on forms containing e^1")
-    return ExtForm((mono[:p] + (idx - 1,) + mono[p + 1:], c)
-                   for mono, c in f.terms for p, idx in enumerate(mono) if idx != 2)
+    out = []
+    for mono, c in f.terms:
+        if 1 in mono:
+            raise ValueError("d1 is undefined on forms containing e^1")
+        for p, idx in enumerate(mono):
+            if idx == 2:
+                continue
+            out.append((mono[:p] + (idx - 1,) + mono[p + 1:], c))
+    return ExtForm(out)
 
 
 def _shift_series(prefix: ExtForm, start: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:

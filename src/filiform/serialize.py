@@ -211,8 +211,12 @@ def system_cas(system: EquationSystem) -> str:
 
 
 def _element_json(elem: LieElement) -> list:
-    return [{"index": index, "numerator": coeff.numerator, "denominator": coeff.denominator}
-            for index, coeff in elem.terms]
+    out = []
+    for index, coeff in elem.terms:
+        out.append({"index": index,
+                    "numerator": coeff.numerator,
+                    "denominator": coeff.denominator})
+    return out
 
 
 def fixture_doc(structure: LieStructure) -> dict:

@@ -135,6 +135,15 @@ def test_d_adjoint_simple_cochain():
     assert dc.value(2, 1) == -e(6)
 
 
+@pytest.mark.parametrize("dim", [6, 9])
+def test_d_adjoint_refuses_a_value_above_the_base(dim):
+    # a rule whose value has no basis vector in the base is malformed input
+    c = AdjointCochain(1, 6, lambda tup: e(dim + 1) if tup == (2,) else LieElement.zero())
+    dc = d_adjoint(c, make_fixture("m0", dim))
+    with pytest.raises(ValueError, match="out of range"):
+        dc.value(1, 2)
+
+
 def _first_slot(f, vector, *rest):
     # f(vector, *rest) by linearity in the first slot, built from f.value
     out = LieElement.zero()
@@ -297,3 +306,6 @@ def test_degree_guards():
         c.value_on_basis((5, 3))
     with pytest.raises(ValueError):
         c.value_on_basis((3, 11))
+    for rest in ((), (3, 4), (3, 3)):
+        with pytest.raises(ValueError):
+            c.value_with_element(e(3), rest)
