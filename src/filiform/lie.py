@@ -64,8 +64,8 @@ class LieStructure:
             raise ValueError("dimension cutoff must be >= 1")
         table: dict[tuple[int, int], LieElement] = {}
         for (i, j), value in relations.items():
-            if not (1 <= i < j <= dim):
-                raise ValueError(f"relation key ({i},{j}) out of range for cutoff {dim}")
+            if type(i) is not int or type(j) is not int or not (1 <= i < j <= dim):
+                raise ValueError(f"relation key ({i!r},{j!r}) must be ints 1 <= i < j <= {dim}")
             for idx, _ in value.terms:
                 if idx > dim:
                     raise ValueError(f"relation ({i},{j}) hits e_{idx} above cutoff {dim}")

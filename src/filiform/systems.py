@@ -6,21 +6,29 @@ in l with x_{l,t} for every t, and R1_t, R2_t, R3_t pair binomials in m
 with x_{m,r-t}.  Out-of-range binomials vanish by the zero convention, so
 the floor-bracket sills only bound the loops, never the support.  At even
 n = 2k the marker x is x_{k,-1}, and a top row F + (-1)^{k-j-q} x G is the
-same sum taken to t = r+1.  The independent cross-check lives in oracle.py
-and never calls into here.
+same sum taken to t = r+1.  _row_forms is this one closed form, with two
+consumers: _row expands it into a polynomial, and residuals evaluates it at a
+point, sum_t A_t(p) * B_t(p), without building one.  The independent
+cross-check lives in oracle.py and never calls into here.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from typing import NamedTuple
 
 from .combinatorics import binomial, partitions_exact
-from .polynomials import TOP, DeformPolynomial, Variable
+from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators
 
 # the marker's partner in the t = r+1 term of a top row: x kept (free),
 # x = 1 (fixed-1), or no such term at all (x = 0)
 X_MODES = {"free": (TOP,), "fixed-0": None, "fixed-1": ()}
+
+
+def _check_dim(n: int) -> None:
+    if n < 9:
+        raise ValueError(f"dimension must be >= 9, got {n}")
 
 
 def _check_label(j: int, q: int, r: int, r_min: int) -> None:
@@ -39,10 +47,10 @@ def _left_forms(j: int, q: int) -> tuple[list, list]:
     return l1, l2
 
 
-def _row(j: int, q: int, r: int, marker) -> DeformPolynomial:
-    """F_{j,q,r}, plus its t = r+1 term when marker is a partner from X_MODES."""
+def _row_forms(j: int, q: int, r: int, marker):
+    """(t, left, right) per product of two linear forms in F_{j,q,r}: left pairs (l, c)
+    with x_{l,t}, right (m, c) with x_{m,r-t}, or with the marker at t = r+1 if given."""
     l1, l2 = _left_forms(j, q)
-    acc: dict = {}
     for t in range(r + 1 if marker is None else r + 2):
         m_hi = q + (j + t) // 2
         # at t = r+1 only m = k = m_hi has a partner: x_{k,-1}, the marker
@@ -54,14 +62,20 @@ def _row(j: int, q: int, r: int, marker) -> DeformPolynomial:
               if (c := (-1) ** (m - q) * binomial(j + q - m + t, m - q))]
         r3 = [(m, c) for m in range(m_lo, m_hi + 1)
               if (c := (-1) ** (m - j + 1) * binomial(2 * q - m + t, m - j))]
-        for left, right in ((l1, r1), (l2, r2), ([(q, 1)], r3)):
-            for l, cl in left:
-                a = (l, t)
-                for m, cm in right:
-                    # a pair monomial is canonical once its two variables are in order
-                    b = (m, r - t)
-                    mono = (a,) + marker if t > r else (a, b) if a <= b else (b, a)
-                    acc[mono] = acc.get(mono, 0) + cl * cm
+        yield from ((t, l1, r1), (t, l2, r2), (t, [(q, 1)], r3))
+
+
+def _row(j: int, q: int, r: int, marker) -> DeformPolynomial:
+    """F_{j,q,r}, plus its t = r+1 term when marker is a partner from X_MODES."""
+    acc: dict = {}
+    for t, left, right in _row_forms(j, q, r, marker):
+        for l, cl in left:
+            a = (l, t)
+            for m, cm in right:
+                # a pair monomial is canonical once its two variables are in order
+                b = (m, r - t)
+                mono = (a,) + marker if t > r else (a, b) if a <= b else (b, a)
+                acc[mono] = acc.get(mono, 0) + cl * cm
     return DeformPolynomial._frozen(acc)
 
 
@@ -137,9 +151,7 @@ class EquationSystem:
 
     @property
     def system_id(self) -> str:
-        if self.kind == "truncated":
-            return f"truncated({self.size})"
-        return f"M_Fil({self.size})[x={self.x_mode}]"
+        return system_id(self.size, self.x_mode, self.kind == "truncated")
 
     def labels(self) -> list[tuple[int, int, int]]:
         return [eq.label for eq in self.equations]
@@ -158,6 +170,11 @@ class EquationSystem:
 
     def __repr__(self) -> str:
         return f"EquationSystem({self.system_id}, {len(self.equations)} equations)"
+
+
+def system_id(size: int, x_mode: str, truncated: bool = False) -> str:
+    """truncated(size), or M_Fil(size)[x=x_mode] for a finite system."""
+    return f"truncated({size})" if truncated else f"M_Fil({size})[x={x_mode}]"
 
 
 def declared_variables(size: int, x_mode: str) -> tuple[Variable, ...]:
@@ -184,9 +201,24 @@ def system_finite(n: int, x_mode: str = "free") -> EquationSystem:
     top-weight rows carry their t = r+1 marker term (-1)^{k-j-q} x G_{j,q,r},
     and the r = -1 rows consist of that term alone.
     """
-    if n < 9:
-        raise ValueError(f"dimension must be >= 9, got {n}")
+    _check_dim(n)
     return _system(f"M_Fil({n})", n, x_mode, n % 2 == 0)
+
+
+def residuals(n: int, assignment) -> list[tuple[tuple[int, int, int], Fraction]]:
+    """Residuals of system_finite(n, "free") at assignment, as oracle.evaluate_system
+    gives them, from the rows' forms: one Fraction per row, no polynomial built."""
+    _check_dim(n)
+    denom, numerators = clear_denominators(assignment)
+    get, top = numerators.get, numerators.get(TOP, 0)
+    out = []
+    for (j, q, r), tilde in _system_rows(n, n % 2 == 0):
+        total = 0
+        for t, left, right in _row_forms(j, q, r, X_MODES["free"] if tilde else None):
+            if a := sum(c * get((l, t), 0) for l, c in left):
+                total += a * sum(c * (top if t > r else get((m, r - t), 0)) for m, c in right)
+        out.append(((j, q, r), Fraction(total, denom * denom)))
+    return out
 
 
 def system_truncated(total_max: int) -> EquationSystem:
@@ -198,8 +230,7 @@ def system_truncated(total_max: int) -> EquationSystem:
 
 def closed_form_counts(n: int) -> tuple[int, int]:
     """(num_vars, num_eqs) from the closed formulas, exact integers."""
-    if n < 9:
-        raise ValueError(f"dimension must be >= 9, got {n}")
+    _check_dim(n)
     if n % 2:
         num_vars = (n - 3) ** 2 // 4
         num_eqs = sum(partitions_exact(3, m) for m in range(3, n - 5))

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from filiform import systems
 from filiform.cli import main
+from filiform.polynomials import DeformPolynomial
 from filiform.serialize import canonical_json, parse_system_doc, system_doc
 from filiform.systems import system_finite
 
@@ -227,6 +229,32 @@ def test_check_refuses_non_list_entries(capsys, tmp_path, entries):
     code, out, err = run(capsys, "check", "--dim", "9", "--assign", str(src))
     assert code == 2 and out == ""
     assert "'entries' list" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["known", "assign"])
+def test_check_refuses_a_dimension_below_9(capsys, tmp_path, source):
+    src = tmp_path / "assign.json"
+    src.write_text(json.dumps({"entries": [{"j": 2, "s": 0, "value": "1"}]}))
+    extra = ["--known", "m2"] if source == "known" else ["--assign", str(src)]
+    code, out, err = run(capsys, "check", "--dim", "8", *extra)
+    assert code == 2 and out == ""
+    assert "dimension must be >= 9, got 8" in err
+
+
+def test_check_builds_no_polynomial(capsys, monkeypatch):
+    argv = ("check", "--dim", "25", "--known", "L1")
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("check built a polynomial")
+
+    # residuals come from the rows' linear forms, not from expanded rows
+    monkeypatch.setattr(systems, "_row", refuse)
+    monkeypatch.setattr(DeformPolynomial, "_frozen", classmethod(refuse))
+    assert run(capsys, *argv) == (0, expected, "")
+    code, out, err = run(capsys, "check", "--dim", "9", "--known", "mk", "--k", "9")
+    assert code == 2 and out == "" and "x_{2,7}" in err
 
 
 def test_check_missing_assignment_file(capsys, tmp_path):

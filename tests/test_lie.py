@@ -61,6 +61,13 @@ class TestLieStructure:
         with pytest.raises(ValueError):
             LieStructure(4, {(3, 2): e(4)})
 
+    @pytest.mark.parametrize("key", [(True, 2), (1.0, 2), (2, 3.0), (Fraction(1), 2)],
+                             ids=["bool", "float", "integral-float", "fraction"])
+    def test_rejects_a_key_that_is_not_ints(self, key):
+        # (True, 2) was stored and written by fixture_doc as "i": true
+        with pytest.raises(ValueError, match="must be ints"):
+            LieStructure(4, {key: e(3)})
+
     def test_rejects_target_above_cutoff(self):
         with pytest.raises(ValueError):
             LieStructure(4, {(1, 2): e(5)})

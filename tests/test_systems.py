@@ -1,14 +1,19 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filiform.combinatorics import partitions_exact
+from filiform.oracle import evaluate_system, known_solution
 from filiform.polynomials import TOP, DeformPolynomial
 from filiform.systems import (Equation, EquationSystem, closed_form_counts,
-                              dims_report, f_poly, g_poly, system_finite,
-                              system_truncated, variable_inventory)
+                              declared_variables, dims_report, f_poly, g_poly,
+                              residuals, system_finite, system_truncated,
+                              variable_inventory)
 
 P = DeformPolynomial
 
@@ -249,6 +254,8 @@ def test_size_guards():
         system_finite(8)
     with pytest.raises(ValueError):
         system_truncated(8)
+    with pytest.raises(ValueError, match="dimension must be >= 9, got 8"):
+        residuals(8, {})
 
 
 def test_equation_system_guards():
@@ -289,3 +296,44 @@ def test_scaling_covariance():
                 beta = Fraction(rng.randint(-4, -1), rng.randint(1, 3))
                 lhs = poly.scaled_substitution(alpha, beta, point)
                 assert lhs == beta ** 2 * alpha ** r * poly.evaluate(point)
+
+
+# residuals evaluates the rows' linear forms; evaluate_system on the expanded
+# rows of system_finite is the reference it must equal entry by entry
+_finite = lru_cache(maxsize=None)(system_finite)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=9, max_value=31), st.integers(min_value=0),
+       st.integers(min_value=0, max_value=100))
+def test_residuals_equal_the_expanded_rows(n, seed, percent):
+    # a seeded point draws faster than one strategy per variable; it sets
+    # about percent % of the inventory, the marker x included at even n
+    rng = random.Random(seed)
+    point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+             for v in declared_variables(n, "free") if rng.randrange(100) < percent}
+    assert residuals(n, point) == evaluate_system(_finite(n), point)
+
+
+@pytest.mark.parametrize("n", [9, 12, 20, 27, 41])
+def test_residuals_at_the_known_families(n):
+    system = system_finite(n) if n > 31 else _finite(n)
+    families = [known_solution("m2", Fraction(-3, 7)),
+                known_solution("mk", 5, k=n - 3),
+                known_solution("L1", Fraction(2, 3), bound=(n - 1) // 2),
+                known_solution("L1-lacuna2", -4, bound=(n - 3) // 2)]
+    for point in families:
+        got = residuals(n, point)
+        assert got == evaluate_system(system, point)
+        assert all(value == 0 for _, value in got)
+        if n % 2 == 0:
+            # with the marker set, the top rows' t = r+1 terms enter
+            marked = {**point, TOP: Fraction(5, 2)}
+            assert residuals(n, marked) == evaluate_system(system, marked)
+
+
+def test_residuals_at_the_empty_assignment():
+    for n in (9, 10, 17, 24):
+        got = residuals(n, {})
+        assert got == evaluate_system(_finite(n), {})
+        assert len(got) == len(_finite(n)) and all(value == 0 for _, value in got)
