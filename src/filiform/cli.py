@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import oracle, serialize, systems
 from .lie import make_fixture
@@ -17,30 +18,27 @@ from .polynomials import var_key, var_text
 X_MODE_FLAG = {"free": "free", "0": "fixed-0", "1": "fixed-1"}
 
 
+def _sink(path: str | None):
+    # a file opens only as the block starts, after the caller's refusals; stdout stays open
+    return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+
+
 def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    with _sink(path) as out:
+        out.write(text)
 
 
 def cmd_gen(args) -> int:
+    writer = getattr(serialize, f"write_system_{args.format}")
     if args.dim is not None:
         # an unset --x reads as free
-        system = systems.system_finite(args.dim, X_MODE_FLAG[args.x or "free"])
+        system = systems.SystemStream(args.dim, X_MODE_FLAG[args.x or "free"])
     elif args.x is not None:
         raise ValueError("--x applies only to --dim; a truncated system has no marker")
     else:
-        system = systems.system_truncated(args.truncate)
-    if args.format != "json":
-        render = serialize.system_cas if args.format == "cas" else serialize.system_text
-        _write(render(system), args.output)
-    elif args.output is None:
-        serialize.write_system_json(system, sys.stdout.write)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            serialize.write_system_json(system, handle.write)
+        system = systems.SystemStream(args.truncate, "fixed-0", truncated=True)
+    with _sink(args.output) as out:
+        writer(system, out.write)
     return 0
 
 
@@ -96,11 +94,11 @@ def cmd_check(args) -> int:
 
 def cmd_verify_oracle(args) -> int:
     if args.max_total is not None:
-        system = systems.system_truncated(args.max_total)
+        system = systems.SystemStream(args.max_total, "fixed-0", truncated=True)
     else:
-        system = systems.system_finite(args.dim, "free")
+        system = systems.SystemStream(args.dim)
     diffs = []
-    for eq in system.equations:
+    for eq in system:
         # truncated rows are never tilde, so they get the marker-free inventory
         inventory = oracle.conclusive_inventory(*eq.label, with_top=eq.tilde)
         mine = oracle.oracle_coefficient(*eq.label, inventory)

@@ -12,7 +12,7 @@ import json
 from .lie import LieElement, LieStructure
 from .polynomials import TOP, DeformPolynomial, check_variable, monomial_runs, var_cas, var_key
 from .sparse import exact
-from .systems import X_MODES, Equation, EquationSystem, _system_rows, declared_variables
+from .systems import X_MODES, Equation, EquationSystem, SystemStream
 
 
 def canonical_json(doc) -> str:
@@ -97,8 +97,8 @@ def system_doc(system: EquationSystem) -> dict:
     return doc
 
 
-def write_system_json(system: EquationSystem, write) -> None:
-    """Emit canonical_json(system_doc(system)) through write, one equation at a time.
+def write_system_json(system: EquationSystem | SystemStream, write) -> None:
+    """Emit canonical_json(system_doc(...)) of a built or streamed system through write, by row.
 
     The document has a fixed shape, so it is rendered directly rather than
     through json's indented encoder, which runs in pure Python; json only
@@ -132,20 +132,20 @@ def write_system_json(system: EquationSystem, write) -> None:
             return '"x"'
         return "{" + nl[3] + f'"j": {v[0]},' + nl[3] + f'"s": {v[1]}' + nl[2] + "}"
 
+    # the sorted keys put "equations" first, and the rest of the head after them
     write("{" + nl[1] + '"equations": ')
-    if not system.equations:
-        write("[]")
-    else:
-        for pos, eq in enumerate(system.equations):
-            monomials = ["{" + nl[5] + f'"coeff": "{coeff}",' + nl[5]
-                         + '"vars": ' + monomial_vars(mono) + nl[4] + "}"
-                         for mono, coeff in eq.poly.terms]
-            write(("[" if pos == 0 else ",") + nl[2]
-                  + "{" + nl[3] + '"label": ' + items([str(c) for c in eq.label], 4)
-                  + "," + nl[3] + '"monomials": ' + items(monomials, 4)
-                  + "," + nl[3] + '"tilde": ' + ("true" if eq.tilde else "false")
-                  + nl[2] + "}")
-        write(nl[1] + "]")
+    opening = "["
+    for eq in system:
+        monomials = ["{" + nl[5] + f'"coeff": "{coeff}",' + nl[5]
+                     + '"vars": ' + monomial_vars(mono) + nl[4] + "}"
+                     for mono, coeff in eq.poly.terms]
+        write(opening + nl[2]
+              + "{" + nl[3] + '"label": ' + items([str(c) for c in eq.label], 4)
+              + "," + nl[3] + '"monomials": ' + items(monomials, 4)
+              + "," + nl[3] + '"tilde": ' + ("true" if eq.tilde else "false")
+              + nl[2] + "}")
+        opening = ","
+    write("[]" if opening == "[" else nl[1] + "]")
     size_key = "total_max" if system.kind == "truncated" else "n"
     write("," + nl[1] + '"kind": ' + json.dumps(system.kind, ensure_ascii=False)
           + "," + nl[1] + f'"{size_key}": {system.size}'
@@ -164,13 +164,11 @@ def parse_system_doc(doc) -> EquationSystem:
     declared = _json_shape(_json_field(doc, "variables", where), list, "variables")
     variables = tuple(_variable_from_json(v) for v in declared)
     x_mode = _json_field(doc, "x_mode", where)
-    if kind == "truncated" and x_mode != "fixed-0":
-        raise ValueError(f"a truncated system has no marker, so its x_mode is 'fixed-0', "
-                         f"not {x_mode!r}")
-    if variables != declared_variables(size, x_mode):
+    head = SystemStream(size, x_mode, kind == "truncated")  # the builders' refusals
+    if variables != head.variables:
         raise ValueError(f"declared variables are not the inventory of {kind} "
                          f"with x_mode {x_mode!r}")
-    rows = set(_system_rows(size, kind != "truncated" and size % 2 == 0))
+    rows = set(head.rows)
     equations = []
     for item in _json_shape(_json_field(doc, "equations", where), list, "equations"):
         raw = _json_field(_json_shape(item, dict, "an equation"), "label", "an equation")
@@ -191,23 +189,20 @@ def parse_system_doc(doc) -> EquationSystem:
             raise ValueError(f"equation {label} {'has' if linear else 'lacks'} linear terms, "
                              f"which contradicts x_mode {x_mode!r}")
         equations.append(Equation(label, poly, tilde))
-    return EquationSystem(kind, size, x_mode, variables, tuple(equations))
+    return EquationSystem(kind, size, x_mode, variables, equations)
 
 
-def system_text(system: EquationSystem) -> str:
-    lines = [f"# {system.system_id}: {len(system.equations)} equations, "
-             f"{len(system.variables)} variables"]
-    for eq in system.equations:
+def write_system_text(system: EquationSystem | SystemStream, write) -> None:
+    write(f"# {system.system_id}: {len(system)} equations, {len(system.variables)} variables\n")
+    for eq in system:
         j, q, r = eq.label
-        lines.append(f"{'F~' if eq.tilde else 'F'}_{{{j},{q},{r}}} = {eq.poly.text()}")
-    return "\n".join(lines) + "\n"
+        write(f"{'F~' if eq.tilde else 'F'}_{{{j},{q},{r}}} = {eq.poly.text()}\n")
 
 
-def system_cas(system: EquationSystem) -> str:
-    names = ", ".join(var_cas(v) for v in sorted(system.variables, key=var_key))
-    lines = [f"# ring QQ[{names}]"]
-    lines.extend(eq.poly.cas() for eq in system.equations)
-    return "\n".join(lines) + "\n"
+def write_system_cas(system: EquationSystem | SystemStream, write) -> None:
+    write(f"# ring QQ[{', '.join(var_cas(v) for v in sorted(system.variables, key=var_key))}]\n")
+    for eq in system:
+        write(eq.poly.cas() + "\n")
 
 
 def _element_json(elem: LieElement) -> list:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .combinatorics import binomial, partitions_exact
 from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators
@@ -26,9 +26,9 @@ from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators
 X_MODES = {"free": (TOP,), "fixed-0": None, "fixed-1": ()}
 
 
-def _check_dim(n: int) -> None:
-    if n < 9:
-        raise ValueError(f"dimension must be >= 9, got {n}")
+def _check_dim(size: int, what: str = "dimension") -> None:
+    if size < 9:
+        raise ValueError(f"{what} must be >= 9, got {size}")
 
 
 def _check_label(j: int, q: int, r: int, r_min: int) -> None:
@@ -122,29 +122,32 @@ def _system_rows(n: int, marker_rows: bool) -> list[tuple[tuple[int, int, int], 
     return rows
 
 
+def _checked(variables, equations: Iterable[Equation]) -> Iterator[Equation]:
+    """Each equation in turn, refused if its label repeats or it uses an undeclared variable."""
+    seen, pool = set(), set(variables)
+    for eq in equations:
+        if eq.label in seen:
+            raise ValueError(f"duplicate label {eq.label}")
+        seen.add(eq.label)
+        if stray := eq.poly.variables() - pool:
+            raise ValueError(f"equation {eq.label} uses undeclared {stray}")
+        yield eq
+
+
 class EquationSystem:
     """Labeled equations over a declared variable inventory."""
 
     __slots__ = ("kind", "size", "x_mode", "variables", "equations")
 
     def __init__(self, kind: str, size: int, x_mode: str,
-                 variables: tuple[Variable, ...], equations: tuple[Equation, ...]):
+                 variables: tuple[Variable, ...], equations: Iterable[Equation]):
         if x_mode not in X_MODES:
             raise ValueError(f"unknown x_mode {x_mode!r}")
-        seen = set()
-        pool = set(variables)
-        for eq in equations:
-            if eq.label in seen:
-                raise ValueError(f"duplicate label {eq.label}")
-            seen.add(eq.label)
-            stray = eq.poly.variables() - pool
-            if stray:
-                raise ValueError(f"equation {eq.label} uses undeclared {stray}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "x_mode", x_mode)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "equations", tuple(_checked(variables, equations)))
 
     def __setattr__(self, name, value):
         raise AttributeError("EquationSystem is immutable")
@@ -185,13 +188,35 @@ def declared_variables(size: int, x_mode: str) -> tuple[Variable, ...]:
     return tuple(variable_inventory(size)) + (marker or ())
 
 
-def _system(kind: str, size: int, x_mode: str, marker_rows: bool) -> EquationSystem:
-    variables = declared_variables(size, x_mode)  # refuses an unknown x_mode
-    equations = []
-    for (j, q, r), tilde in _system_rows(size, marker_rows):
-        marker = X_MODES[x_mode] if tilde else None
-        equations.append(Equation((j, q, r), _row(j, q, r, marker), tilde))
-    return EquationSystem(kind, size, x_mode, variables, tuple(equations))
+class SystemStream:
+    """The head of system_finite(size, x_mode), or of system_truncated(size), known after
+    their refusals; iterating it builds and checks each row in turn, holding one at a time."""
+
+    def __init__(self, size: int, x_mode: str = "free", truncated: bool = False):
+        _check_dim(size, "truncation bound" if truncated else "dimension")
+        if truncated and x_mode != "fixed-0":
+            raise ValueError(f"a truncated system has no marker, so its x_mode is 'fixed-0', "
+                             f"not {x_mode!r}")
+        self.kind = "truncated" if truncated else f"M_Fil({size})"
+        self.size, self.x_mode = size, x_mode
+        self.variables = declared_variables(size, x_mode)  # refuses an unknown x_mode
+        self.rows = _system_rows(size, not truncated and size % 2 == 0)
+
+    system_id = EquationSystem.system_id
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[Equation]:
+        return _checked(self.variables, self._unchecked())
+
+    def _unchecked(self) -> Iterator[Equation]:
+        for (j, q, r), tilde in self.rows:
+            yield Equation((j, q, r), _row(j, q, r, X_MODES[self.x_mode] if tilde else None), tilde)
+
+    def build(self) -> EquationSystem:
+        # the constructor checks each row once, as iterating does
+        return EquationSystem(self.kind, self.size, self.x_mode, self.variables, self._unchecked())
 
 
 def system_finite(n: int, x_mode: str = "free") -> EquationSystem:
@@ -201,18 +226,17 @@ def system_finite(n: int, x_mode: str = "free") -> EquationSystem:
     top-weight rows carry their t = r+1 marker term (-1)^{k-j-q} x G_{j,q,r},
     and the r = -1 rows consist of that term alone.
     """
-    _check_dim(n)
-    return _system(f"M_Fil({n})", n, x_mode, n % 2 == 0)
+    return SystemStream(n, x_mode).build()
 
 
 def residuals(n: int, assignment) -> list[tuple[tuple[int, int, int], Fraction]]:
     """Residuals of system_finite(n, "free") at assignment, as oracle.evaluate_system
     gives them, from the rows' forms: one Fraction per row, no polynomial built."""
-    _check_dim(n)
+    rows = SystemStream(n).rows  # refuses n < 9
     denom, numerators = clear_denominators(assignment)
     get, top = numerators.get, numerators.get(TOP, 0)
     out = []
-    for (j, q, r), tilde in _system_rows(n, n % 2 == 0):
+    for (j, q, r), tilde in rows:
         total = 0
         for t, left, right in _row_forms(j, q, r, X_MODES["free"] if tilde else None):
             if a := sum(c * get((l, t), 0) for l, c in left):
@@ -223,9 +247,7 @@ def residuals(n: int, assignment) -> list[tuple[tuple[int, int, int], Fraction]]
 
 def system_truncated(total_max: int) -> EquationSystem:
     """All rows F_{j,q,r} with j+2q+1+r <= total_max; no marker rows."""
-    if total_max < 9:
-        raise ValueError(f"truncation bound must be >= 9, got {total_max}")
-    return _system("truncated", total_max, "fixed-0", False)
+    return SystemStream(total_max, "fixed-0", truncated=True).build()
 
 
 def closed_form_counts(n: int) -> tuple[int, int]:

@@ -4,11 +4,11 @@ import sys
 
 import pytest
 
-from filiform import systems
+from filiform import serialize, systems
 from filiform.cli import main
-from filiform.polynomials import DeformPolynomial
+from filiform.polynomials import DeformPolynomial, var_cas, var_key
 from filiform.serialize import canonical_json, parse_system_doc, system_doc
-from filiform.systems import system_finite
+from filiform.systems import system_finite, system_truncated
 
 
 def run(capsys, *argv):
@@ -102,6 +102,122 @@ def test_gen_output_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "--dim", "9",
                        "--output", str(tmp_path / "missing" / "out.txt"))
     assert code == 3 and "i/o error:" in err
+
+
+# whole-string renderings of a built system: the reference that gen's streamed
+# text and CAS output must equal byte for byte
+def _text_reference(system) -> str:
+    lines = [f"# {system.system_id}: {len(system.equations)} equations, "
+             f"{len(system.variables)} variables"]
+    for eq in system.equations:
+        j, q, r = eq.label
+        lines.append(f"{'F~' if eq.tilde else 'F'}_{{{j},{q},{r}}} = {eq.poly.text()}")
+    return "\n".join(lines) + "\n"
+
+
+def _cas_reference(system) -> str:
+    names = ", ".join(var_cas(v) for v in sorted(system.variables, key=var_key))
+    lines = [f"# ring QQ[{names}]"]
+    lines.extend(eq.poly.cas() for eq in system.equations)
+    return "\n".join(lines) + "\n"
+
+
+REFERENCES = {"text": _text_reference, "cas": _cas_reference,
+              "json": lambda system: canonical_json(system_doc(system))}
+# the --x values that select each x_mode; unset reads as free
+X_FLAGS = {"free": [None, "free"], "fixed-0": ["0"], "fixed-1": ["1"]}
+
+
+@pytest.mark.parametrize("n", range(9, 25))
+def test_gen_streams_the_reference_bytes(capsys, n):
+    for x_mode, flags in X_FLAGS.items():
+        system = system_finite(n, x_mode)
+        for fmt, reference in REFERENCES.items():
+            want = (0, reference(system), "")
+            for flag in flags:
+                argv = ["gen", "--dim", str(n), "--format", fmt] + (["--x", flag] if flag else [])
+                assert run(capsys, *argv) == want, (flag, fmt)
+
+
+@pytest.mark.parametrize("total_max", range(9, 21))
+def test_gen_streams_the_truncated_reference_bytes(capsys, total_max):
+    system = system_truncated(total_max)
+    for fmt, reference in REFERENCES.items():
+        argv = ("gen", "--truncate", str(total_max), "--format", fmt)
+        assert run(capsys, *argv) == (0, reference(system), ""), fmt
+
+
+GEN_CASES = [("--dim", "12", "--x", "1"), ("--dim", "13"), ("--truncate", "14")]
+
+
+def test_gen_builds_no_system(capsys, monkeypatch):
+    expected = {(size, fmt): run(capsys, "gen", *size, "--format", fmt)
+                for size in GEN_CASES for fmt in REFERENCES}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen built a whole system")
+
+    # gen writes each row as it comes: no built system, no whole-string rendering
+    for name in ("system_finite", "system_truncated", "EquationSystem"):
+        monkeypatch.setattr(systems, name, refuse)
+    for name in ("system_doc", "canonical_json"):
+        monkeypatch.setattr(serialize, name, refuse)
+    for (size, fmt), want in expected.items():
+        assert want[0] == 0 and run(capsys, "gen", *size, "--format", fmt) == want
+
+
+@pytest.mark.parametrize("fmt", sorted(REFERENCES))
+def test_gen_writes_each_row_as_it_is_built(monkeypatch, fmt):
+    rows = len(system_finite(16))
+    built, seen = [], []
+    row = systems._row
+
+    def counted(*args):
+        built.append(args[:3])
+        return row(*args)
+
+    class Sink:
+        def write(self, text):
+            seen.append(len(built))  # rows built so far, at each write
+
+    monkeypatch.setattr(systems, "_row", counted)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["gen", "--dim", "16", "--format", fmt]) == 0
+    assert len(built) == rows and seen[-1] == rows
+    assert seen[0] <= 1
+    assert all(count <= writes + 1 for writes, count in enumerate(seen))
+
+
+@pytest.mark.parametrize("fmt", sorted(REFERENCES))
+@pytest.mark.parametrize("size", [("--dim", "8"), ("--truncate", "8")], ids=["dim", "truncate"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_gen_refuses_a_size_below_9_before_writing(capsys, tmp_path, fmt, size, to_file):
+    target = tmp_path / "out"
+    argv = ["gen", *size, "--format", fmt] + (["--output", str(target)] if to_file else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "must be >= 9, got 8" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", sorted(REFERENCES))
+def test_gen_refuses_a_row_with_an_undeclared_variable(capsys, monkeypatch, tmp_path, fmt):
+    # only a bug in the row builder can do this; the rows before it stay written
+    reference = REFERENCES[fmt](system_finite(12))
+    row = systems._row
+
+    def stray(j, q, r, marker):
+        if (j, q, r) == (2, 4, 0):
+            return DeformPolynomial([(((2, 0), (40, 0)), 1)])
+        return row(j, q, r, marker)
+
+    monkeypatch.setattr(systems, "_row", stray)
+    code, out, err = run(capsys, "gen", "--dim", "12", "--format", fmt)
+    assert code == 2 and "equation (2, 4, 0) uses undeclared {(40, 0)}" in err
+    assert out and reference.startswith(out)
+    target = tmp_path / "out"
+    code, out, err = run(capsys, "gen", "--dim", "12", "--format", fmt, "--output", str(target))
+    assert code == 2 and out == "" and "(2, 4, 0)" in err
+    assert target.read_text() and reference.startswith(target.read_text())
 
 
 def test_dims(capsys):

@@ -6,11 +6,11 @@ import pytest
 from filiform.lie import make_fixture
 from filiform.oracle import deformed_structure, evaluate_system, jacobi_scan
 from filiform.polynomials import TOP
-from filiform.serialize import (assignment_doc, canonical_json, fixture_doc,
-                                fraction_str, parse_assignment,
-                                parse_system_doc, report_doc, system_cas,
-                                system_doc, system_text, write_system_json)
-from filiform.systems import X_MODES, system_finite, system_truncated
+from filiform.serialize import (_variable_json, assignment_doc, canonical_json,
+                                fixture_doc, fraction_str, parse_assignment,
+                                parse_system_doc, report_doc, system_doc,
+                                write_system_cas, write_system_json, write_system_text)
+from filiform.systems import X_MODES, declared_variables, system_finite, system_truncated
 
 
 def test_fraction_str():
@@ -43,9 +43,9 @@ def test_system_doc_roundtrip(system):
     assert canonical_json(system_doc(back)) == canonical_json(doc)
 
 
-def _streamed(system) -> str:
+def _streamed(system, writer=write_system_json) -> str:
     chunks = []
-    write_system_json(system, chunks.append)
+    writer(system, chunks.append)
     return "".join(chunks)
 
 
@@ -77,17 +77,17 @@ def test_system_doc_shape():
 
 
 def test_system_text():
-    text = system_text(system_finite(9))
+    text = _streamed(system_finite(9), write_system_text)
     lines = text.splitlines()
     assert lines[0] == "# M_Fil(9)[x=free]: 1 equations, 9 variables"
     assert lines[1] == "F_{2,3,0} = -2*x_{2,0}*x_{4,0} + 3*x_{3,0}^2 - x_{3,0}*x_{4,0}"
     # tilde rows are flagged in the name
-    text12 = system_text(system_finite(12))
+    text12 = _streamed(system_finite(12), write_system_text)
     assert "F~_{2,5,-1} = " in text12
 
 
 def test_system_cas():
-    out = system_cas(system_finite(9))
+    out = _streamed(system_finite(9), write_system_cas)
     lines = out.splitlines()
     assert lines[0].startswith("# ring QQ[x_2_0, x_2_1")
     assert lines[1] == "-2*x_2_0*x_4_0 + 3*x_3_0^2 - x_3_0*x_4_0"
@@ -331,6 +331,24 @@ def test_parse_system_doc_refuses_a_variable_of_another_shape(variable):
     doc = _doc_12()
     doc["variables"][0] = variable
     with pytest.raises(ValueError, match="bad variable"):
+        parse_system_doc(doc)
+
+
+@pytest.mark.parametrize("truncated, size, message", [
+    (False, 8, "dimension must be >= 9, got 8"),
+    (False, 3, "dimension must be >= 9, got 3"),
+    (True, 8, "truncation bound must be >= 9, got 8"),
+    (True, 5, "truncation bound must be >= 9, got 5"),
+], ids=["finite-8", "finite-3", "truncated-8", "truncated-5"])
+def test_parse_system_doc_refuses_a_size_the_builders_refuse(truncated, size, message):
+    # each used to parse as a system of 0 equations
+    x_mode = "fixed-0" if truncated else "free"
+    doc = {"kind": "truncated" if truncated else f"M_Fil({size})",
+           "total_max" if truncated else "n": size,
+           "x_mode": x_mode,
+           "variables": [_variable_json(v) for v in declared_variables(size, x_mode)],
+           "equations": []}
+    with pytest.raises(ValueError, match=message):
         parse_system_doc(doc)
 
 

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from filiform.combinatorics import partitions_exact
 from filiform.oracle import evaluate_system, known_solution
 from filiform.polynomials import TOP, DeformPolynomial
-from filiform.systems import (Equation, EquationSystem, closed_form_counts,
-                              declared_variables, dims_report, f_poly, g_poly,
-                              residuals, system_finite, system_truncated,
-                              variable_inventory)
+from filiform.systems import (Equation, EquationSystem, SystemStream,
+                              closed_form_counts, declared_variables, dims_report,
+                              f_poly, g_poly, residuals, system_finite,
+                              system_truncated, variable_inventory)
 
 P = DeformPolynomial
 
@@ -256,6 +256,41 @@ def test_size_guards():
         system_truncated(8)
     with pytest.raises(ValueError, match="dimension must be >= 9, got 8"):
         residuals(8, {})
+
+
+@pytest.mark.parametrize("build, stream", [
+    (lambda: system_finite(16, "fixed-1"), lambda: SystemStream(16, "fixed-1")),
+    (lambda: system_finite(17), lambda: SystemStream(17)),
+    (lambda: system_truncated(18), lambda: SystemStream(18, "fixed-0", truncated=True)),
+], ids=["finite-even", "finite-odd", "truncated"])
+def test_a_stream_yields_the_built_rows_each_checked_once(monkeypatch, build, stream):
+    checks = []
+    variables = DeformPolynomial.variables
+
+    def counted(poly):
+        checks.append(poly)
+        return variables(poly)
+
+    monkeypatch.setattr(DeformPolynomial, "variables", counted)
+    system = build()
+    # the constructor checks the rows the stream builds; nothing checks them again
+    assert len(checks) == len(system)
+    head = stream()
+    assert (head.kind, head.size, head.x_mode, head.variables, head.system_id, len(head)) == (
+        system.kind, system.size, system.x_mode, system.variables, system.system_id, len(system))
+    assert tuple(head) == system.equations and len(checks) == 2 * len(system)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((8,), "dimension must be >= 9, got 8"),
+    ((8, "fixed-0", True), "truncation bound must be >= 9, got 8"),
+    ((12, "nope"), "unknown x_mode 'nope'"),
+    ((12, "free", True), "a truncated system has no marker"),
+])
+def test_a_stream_refuses_before_any_row(monkeypatch, args, message):
+    monkeypatch.setattr("filiform.systems._row", None)
+    with pytest.raises(ValueError, match=message):
+        SystemStream(*args)
 
 
 def test_equation_system_guards():
