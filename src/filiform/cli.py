@@ -32,11 +32,11 @@ def cmd_gen(args) -> int:
     writer = getattr(serialize, f"write_system_{args.format}")
     if args.dim is not None:
         # an unset --x reads as free
-        system = systems.SystemStream(args.dim, X_MODE_FLAG[args.x or "free"])
+        system = systems.EquationSystem(args.dim, X_MODE_FLAG[args.x or "free"])
     elif args.x is not None:
         raise ValueError("--x applies only to --dim; a truncated system has no marker")
     else:
-        system = systems.SystemStream(args.truncate, "fixed-0", truncated=True)
+        system = systems.EquationSystem(args.truncate, "fixed-0", truncated=True)
     with _sink(args.output) as out:
         writer(system, out.write)
     return 0
@@ -86,7 +86,7 @@ def cmd_check(args) -> int:
         raise ValueError(f"variables outside the inventory of dimension {args.dim}: {names}")
     structure = oracle.deformed_structure(assignment, args.dim)
     defects = oracle.jacobi_scan(structure)
-    report = serialize.report_doc(systems.system_id(args.dim, "free"), assignment,
+    report = serialize.report_doc(systems.EquationSystem(args.dim).system_id, assignment,
                                   residuals, defects)
     _write(serialize.canonical_json(report), args.report)
     return 0 if report["verdict"] == "verified" else 1
@@ -94,9 +94,9 @@ def cmd_check(args) -> int:
 
 def cmd_verify_oracle(args) -> int:
     if args.max_total is not None:
-        system = systems.SystemStream(args.max_total, "fixed-0", truncated=True)
+        system = systems.EquationSystem(args.max_total, "fixed-0", truncated=True)
     else:
-        system = systems.SystemStream(args.dim)
+        system = systems.EquationSystem(args.dim)
     diffs = []
     for eq in system:
         # truncated rows are never tilde, so they get the marker-free inventory

@@ -146,7 +146,7 @@ def known_solution(name: str, t=1, k: int | None = None,
 def evaluate_system(system, assignment: Mapping[Variable, Fraction]):
     """Exact residual of every equation, in system order; missing vars are 0."""
     cleared = clear_denominators(assignment)  # once for all rows
-    return [(eq.label, eq.poly._cleared_value(*cleared)) for eq in system.equations]
+    return [(eq.label, eq.poly._cleared_value(*cleared)) for eq in system]
 
 
 def first_violation(system, assignment: Mapping[Variable, Fraction]):

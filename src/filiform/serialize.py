@@ -12,7 +12,7 @@ import json
 from .lie import LieElement, LieStructure
 from .polynomials import TOP, DeformPolynomial, check_variable, monomial_runs, var_cas, var_key
 from .sparse import exact
-from .systems import X_MODES, Equation, EquationSystem, SystemStream
+from .systems import X_MODES, Equation, EquationSystem
 
 
 def canonical_json(doc) -> str:
@@ -88,7 +88,7 @@ def system_doc(system: EquationSystem) -> dict:
         "equations": [{"label": list(eq.label),
                        "tilde": eq.tilde,
                        "monomials": _monomials_json(eq.poly)}
-                      for eq in system.equations],
+                      for eq in system],
     }
     if system.kind == "truncated":
         doc["total_max"] = system.size
@@ -97,8 +97,8 @@ def system_doc(system: EquationSystem) -> dict:
     return doc
 
 
-def write_system_json(system: EquationSystem | SystemStream, write) -> None:
-    """Emit canonical_json(system_doc(...)) of a built or streamed system through write, by row.
+def write_system_json(system: EquationSystem, write) -> None:
+    """Emit canonical_json(system_doc(system)) through write, row by row.
 
     The document has a fixed shape, so it is rendered directly rather than
     through json's indented encoder, which runs in pure Python; json only
@@ -159,16 +159,15 @@ def parse_system_doc(doc) -> EquationSystem:
     kind = _json_field(_json_shape(doc, dict, where), "kind", where)
     size = _json_int(_json_field(doc, "total_max" if kind == "truncated" else "n", where),
                      "system sizes")
-    if kind not in ("truncated", f"M_Fil({size})"):
-        raise ValueError(f"system kind must be 'truncated' or 'M_Fil({size})', got {kind!r}")
     declared = _json_shape(_json_field(doc, "variables", where), list, "variables")
     variables = tuple(_variable_from_json(v) for v in declared)
     x_mode = _json_field(doc, "x_mode", where)
-    head = SystemStream(size, x_mode, kind == "truncated")  # the builders' refusals
+    head = EquationSystem(size, x_mode, kind == "truncated")  # the builders' refusals
+    if kind != head.kind:
+        raise ValueError(f"system kind must be 'truncated' or {head.kind!r}, got {kind!r}")
     if variables != head.variables:
         raise ValueError(f"declared variables are not the inventory of {kind} "
                          f"with x_mode {x_mode!r}")
-    rows = set(head.rows)
     equations = []
     for item in _json_shape(_json_field(doc, "equations", where), list, "equations"):
         raw = _json_field(_json_shape(item, dict, "an equation"), "label", "an equation")
@@ -178,8 +177,6 @@ def parse_system_doc(doc) -> EquationSystem:
         tilde = _json_field(item, "tilde", f"equation {label}")
         if type(tilde) is not bool:
             raise ValueError(f"bad equation {label}: tilde must be a JSON boolean")
-        if (label, tilde) not in rows:
-            raise ValueError(f"{kind} has no row {label} with tilde {str(tilde).lower()}")
         monomials = _json_field(item, "monomials", f"equation {label}")
         poly = _monomials_from_json(monomials)
         # x = 1 leaves G's linear terms in each tilde row and nowhere else; G
@@ -189,17 +186,18 @@ def parse_system_doc(doc) -> EquationSystem:
             raise ValueError(f"equation {label} {'has' if linear else 'lacks'} linear terms, "
                              f"which contradicts x_mode {x_mode!r}")
         equations.append(Equation(label, poly, tilde))
-    return EquationSystem(kind, size, x_mode, variables, equations)
+    # the constructor refuses equations that are not the head's rows, in order
+    return EquationSystem(size, x_mode, kind == "truncated", equations)
 
 
-def write_system_text(system: EquationSystem | SystemStream, write) -> None:
+def write_system_text(system: EquationSystem, write) -> None:
     write(f"# {system.system_id}: {len(system)} equations, {len(system.variables)} variables\n")
     for eq in system:
         j, q, r = eq.label
         write(f"{'F~' if eq.tilde else 'F'}_{{{j},{q},{r}}} = {eq.poly.text()}\n")
 
 
-def write_system_cas(system: EquationSystem | SystemStream, write) -> None:
+def write_system_cas(system: EquationSystem, write) -> None:
     write(f"# ring QQ[{', '.join(var_cas(v) for v in sorted(system.variables, key=var_key))}]\n")
     for eq in system:
         write(eq.poly.cas() + "\n")

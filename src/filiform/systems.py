@@ -8,8 +8,10 @@ the floor-bracket sills only bound the loops, never the support.  At even
 n = 2k the marker x is x_{k,-1}, and a top row F + (-1)^{k-j-q} x G is the
 same sum taken to t = r+1.  _row_forms is this one closed form, with two
 consumers: _row expands it into a polynomial, and residuals evaluates it at a
-point, sum_t A_t(p) * B_t(p), without building one.  The independent
-cross-check lives in oracle.py and never calls into here.
+point, sum_t A_t(p) * B_t(p), without building one.  An EquationSystem is a
+head (size, truncated or not, marker mode) and every row of it, in order:
+held once checked, or built and checked one at a time as it is iterated.
+The independent cross-check lives in oracle.py and never calls into here.
 """
 
 from __future__ import annotations
@@ -122,64 +124,6 @@ def _system_rows(n: int, marker_rows: bool) -> list[tuple[tuple[int, int, int], 
     return rows
 
 
-def _checked(variables, equations: Iterable[Equation]) -> Iterator[Equation]:
-    """Each equation in turn, refused if its label repeats or it uses an undeclared variable."""
-    seen, pool = set(), set(variables)
-    for eq in equations:
-        if eq.label in seen:
-            raise ValueError(f"duplicate label {eq.label}")
-        seen.add(eq.label)
-        if stray := eq.poly.variables() - pool:
-            raise ValueError(f"equation {eq.label} uses undeclared {stray}")
-        yield eq
-
-
-class EquationSystem:
-    """Labeled equations over a declared variable inventory."""
-
-    __slots__ = ("kind", "size", "x_mode", "variables", "equations")
-
-    def __init__(self, kind: str, size: int, x_mode: str,
-                 variables: tuple[Variable, ...], equations: Iterable[Equation]):
-        if x_mode not in X_MODES:
-            raise ValueError(f"unknown x_mode {x_mode!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "x_mode", x_mode)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "equations", tuple(_checked(variables, equations)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EquationSystem is immutable")
-
-    @property
-    def system_id(self) -> str:
-        return system_id(self.size, self.x_mode, self.kind == "truncated")
-
-    def labels(self) -> list[tuple[int, int, int]]:
-        return [eq.label for eq in self.equations]
-
-    def equation(self, label: tuple[int, int, int]) -> Equation:
-        for eq in self.equations:
-            if eq.label == tuple(label):
-                return eq
-        raise KeyError(f"no equation labeled {label}")
-
-    def __iter__(self):
-        return iter(self.equations)
-
-    def __len__(self) -> int:
-        return len(self.equations)
-
-    def __repr__(self) -> str:
-        return f"EquationSystem({self.system_id}, {len(self.equations)} equations)"
-
-
-def system_id(size: int, x_mode: str, truncated: bool = False) -> str:
-    """truncated(size), or M_Fil(size)[x=x_mode] for a finite system."""
-    return f"truncated({size})" if truncated else f"M_Fil({size})[x={x_mode}]"
-
-
 def declared_variables(size: int, x_mode: str) -> tuple[Variable, ...]:
     """The inventory of size, plus the marker where x_mode keeps it at an even size."""
     if x_mode not in X_MODES:
@@ -188,35 +132,88 @@ def declared_variables(size: int, x_mode: str) -> tuple[Variable, ...]:
     return tuple(variable_inventory(size)) + (marker or ())
 
 
-class SystemStream:
-    """The head of system_finite(size, x_mode), or of system_truncated(size), known after
-    their refusals; iterating it builds and checks each row in turn, holding one at a time."""
+class EquationSystem:
+    """system_finite(size, x_mode), or system_truncated(size) if truncated, known by its head.
 
-    def __init__(self, size: int, x_mode: str = "free", truncated: bool = False):
+    The constructor makes the builders' refusals and derives kind, variables
+    and the (label, tilde) rows.  Given equations, it holds them once they
+    are checked to be exactly those rows, in order, over those variables.
+    Without, equations is None, and iterating builds and checks each row in
+    turn, holding one at a time.
+    """
+
+    __slots__ = ("kind", "size", "x_mode", "variables", "rows", "equations")
+
+    def __init__(self, size: int, x_mode: str = "free", truncated: bool = False,
+                 equations: Iterable[Equation] | None = None):
         _check_dim(size, "truncation bound" if truncated else "dimension")
         if truncated and x_mode != "fixed-0":
             raise ValueError(f"a truncated system has no marker, so its x_mode is 'fixed-0', "
                              f"not {x_mode!r}")
-        self.kind = "truncated" if truncated else f"M_Fil({size})"
-        self.size, self.x_mode = size, x_mode
-        self.variables = declared_variables(size, x_mode)  # refuses an unknown x_mode
-        self.rows = _system_rows(size, not truncated and size % 2 == 0)
+        head = ("truncated" if truncated else f"M_Fil({size})", size, x_mode,
+                declared_variables(size, x_mode),  # refuses an unknown x_mode
+                _system_rows(size, not truncated and size % 2 == 0), None)
+        for name, value in zip(self.__slots__, head):
+            object.__setattr__(self, name, value)
+        if equations is not None:
+            object.__setattr__(self, "equations", tuple(self._checked(equations)))
 
-    system_id = EquationSystem.system_id
+    def __setattr__(self, name, value):
+        raise AttributeError("EquationSystem is immutable")
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[Equation]:
-        return _checked(self.variables, self._unchecked())
+    def _checked(self, equations: Iterable[Equation]) -> Iterator[Equation]:
+        """Each equation in turn, refused unless it is the next row and uses declared variables."""
+        rows, pool = self.rows, set(self.variables)
+        count = 0
+        for count, eq in enumerate(equations, 1):
+            row = (eq.label, eq.tilde)
+            if count > len(rows) or row != rows[count - 1]:
+                if row not in rows:
+                    raise ValueError(f"{self.kind} has no row {eq.label} "
+                                     f"with tilde {str(eq.tilde).lower()}")
+                if row in rows[:count - 1]:
+                    raise ValueError(f"equation {eq.label} repeats a row of {self.kind}")
+                raise ValueError(f"{self.kind} lacks row {rows[count - 1][0]} "
+                                 f"before equation {eq.label}")
+            if stray := eq.poly.variables() - pool:
+                raise ValueError(f"equation {eq.label} uses undeclared {stray}")
+            yield eq
+        if count < len(rows):
+            raise ValueError(f"{self.kind} lacks row {rows[count][0]}")
 
     def _unchecked(self) -> Iterator[Equation]:
         for (j, q, r), tilde in self.rows:
             yield Equation((j, q, r), _row(j, q, r, X_MODES[self.x_mode] if tilde else None), tilde)
 
-    def build(self) -> EquationSystem:
-        # the constructor checks each row once, as iterating does
-        return EquationSystem(self.kind, self.size, self.x_mode, self.variables, self._unchecked())
+    def held(self) -> EquationSystem:
+        """This system holding all its rows; the constructor checks each one once."""
+        return EquationSystem(self.size, self.x_mode, self.kind == "truncated", self._unchecked())
+
+    @property
+    def system_id(self) -> str:
+        """truncated(size), or M_Fil(size)[x=x_mode] for a finite system."""
+        return (f"truncated({self.size})" if self.kind == "truncated"
+                else f"{self.kind}[x={self.x_mode}]")
+
+    def labels(self) -> list[tuple[int, int, int]]:
+        return [label for label, _ in self.rows]
+
+    def equation(self, label: tuple[int, int, int]) -> Equation:
+        for eq in self:
+            if eq.label == tuple(label):
+                return eq
+        raise KeyError(f"no equation labeled {label}")
+
+    def __iter__(self) -> Iterator[Equation]:
+        if self.equations is None:
+            return self._checked(self._unchecked())
+        return iter(self.equations)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:
+        return f"EquationSystem({self.system_id}, {len(self)} equations)"
 
 
 def system_finite(n: int, x_mode: str = "free") -> EquationSystem:
@@ -226,13 +223,13 @@ def system_finite(n: int, x_mode: str = "free") -> EquationSystem:
     top-weight rows carry their t = r+1 marker term (-1)^{k-j-q} x G_{j,q,r},
     and the r = -1 rows consist of that term alone.
     """
-    return SystemStream(n, x_mode).build()
+    return EquationSystem(n, x_mode).held()
 
 
 def residuals(n: int, assignment) -> list[tuple[tuple[int, int, int], Fraction]]:
     """Residuals of system_finite(n, "free") at assignment, as oracle.evaluate_system
     gives them, from the rows' forms: one Fraction per row, no polynomial built."""
-    rows = SystemStream(n).rows  # refuses n < 9
+    rows = EquationSystem(n).rows  # refuses n < 9
     denom, numerators = clear_denominators(assignment)
     get, top = numerators.get, numerators.get(TOP, 0)
     out = []
@@ -247,7 +244,7 @@ def residuals(n: int, assignment) -> list[tuple[tuple[int, int, int], Fraction]]
 
 def system_truncated(total_max: int) -> EquationSystem:
     """All rows F_{j,q,r} with j+2q+1+r <= total_max; no marker rows."""
-    return SystemStream(total_max, "fixed-0", truncated=True).build()
+    return EquationSystem(total_max, "fixed-0", truncated=True).held()
 
 
 def closed_form_counts(n: int) -> tuple[int, int]:

@@ -158,8 +158,9 @@ def test_gen_builds_no_system(capsys, monkeypatch):
         raise AssertionError("gen built a whole system")
 
     # gen writes each row as it comes: no built system, no whole-string rendering
-    for name in ("system_finite", "system_truncated", "EquationSystem"):
+    for name in ("system_finite", "system_truncated"):
         monkeypatch.setattr(systems, name, refuse)
+    monkeypatch.setattr(systems.EquationSystem, "held", refuse)
     for name in ("system_doc", "canonical_json"):
         monkeypatch.setattr(serialize, name, refuse)
     for (size, fmt), want in expected.items():

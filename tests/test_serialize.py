@@ -10,7 +10,8 @@ from filiform.serialize import (_variable_json, assignment_doc, canonical_json,
                                 fixture_doc, fraction_str, parse_assignment,
                                 parse_system_doc, report_doc, system_doc,
                                 write_system_cas, write_system_json, write_system_text)
-from filiform.systems import X_MODES, declared_variables, system_finite, system_truncated
+from filiform.systems import (X_MODES, EquationSystem, declared_variables, system_finite,
+                              system_truncated)
 
 
 def test_fraction_str():
@@ -305,6 +306,40 @@ def test_parse_system_doc_refuses_a_row_the_document_cannot_hold(system, edit):
     edit(doc)
     with pytest.raises(ValueError, match="has no row"):
         parse_system_doc(doc)
+
+
+def _swap_first_two(doc):
+    rows = doc["equations"]
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+_LACKS_FIRST = r"M_Fil\(12\) lacks row \(2, 3, 0\) before equation \(2, 3, 1\)"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["equations"].pop(0), _LACKS_FIRST),
+    (lambda d: d["equations"].pop(), r"M_Fil\(12\) lacks row \(3, 4, 0\)$"),
+    (_swap_first_two, _LACKS_FIRST),
+    (lambda d: d["equations"].insert(1, d["equations"][0]),
+     r"equation \(2, 3, 0\) repeats a row of M_Fil\(12\)"),
+], ids=["first-dropped", "last-dropped", "swapped", "repeated"])
+def test_parse_system_doc_needs_every_row_in_order(edit, message):
+    # each used to parse as M_Fil(12)[x=free]; without its first row, the
+    # system read as solved at x_{2,0} = x_{3,0} = 1, where F_{2,3,0} is 3
+    doc = _doc_12()
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        parse_system_doc(doc)
+
+
+@pytest.mark.parametrize("size", range(9, 21))
+def test_parse_system_doc_round_trips_every_head(size):
+    heads = [(size, x_mode, False) for x_mode in X_MODES] + [(size, "fixed-0", True)]
+    for head in heads:
+        system = EquationSystem(*head).held()
+        back = parse_system_doc(system_doc(system))
+        for field in EquationSystem.__slots__:
+            assert getattr(back, field) == getattr(system, field), (head, field)
 
 
 @pytest.mark.parametrize("coeff", ["1/0", "-2/0"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from filiform.combinatorics import partitions_exact
 from filiform.oracle import evaluate_system, known_solution
 from filiform.polynomials import TOP, DeformPolynomial
-from filiform.systems import (Equation, EquationSystem, SystemStream,
+from filiform.systems import (Equation, EquationSystem,
                               closed_form_counts, declared_variables, dims_report,
                               f_poly, g_poly, residuals, system_finite,
                               system_truncated, variable_inventory)
@@ -259,9 +259,9 @@ def test_size_guards():
 
 
 @pytest.mark.parametrize("build, stream", [
-    (lambda: system_finite(16, "fixed-1"), lambda: SystemStream(16, "fixed-1")),
-    (lambda: system_finite(17), lambda: SystemStream(17)),
-    (lambda: system_truncated(18), lambda: SystemStream(18, "fixed-0", truncated=True)),
+    (lambda: system_finite(16, "fixed-1"), lambda: EquationSystem(16, "fixed-1")),
+    (lambda: system_finite(17), lambda: EquationSystem(17)),
+    (lambda: system_truncated(18), lambda: EquationSystem(18, "fixed-0", truncated=True)),
 ], ids=["finite-even", "finite-odd", "truncated"])
 def test_a_stream_yields_the_built_rows_each_checked_once(monkeypatch, build, stream):
     checks = []
@@ -278,6 +278,7 @@ def test_a_stream_yields_the_built_rows_each_checked_once(monkeypatch, build, st
     head = stream()
     assert (head.kind, head.size, head.x_mode, head.variables, head.system_id, len(head)) == (
         system.kind, system.size, system.x_mode, system.variables, system.system_id, len(system))
+    assert head.equations is None and head.rows == system.rows
     assert tuple(head) == system.equations and len(checks) == 2 * len(system)
 
 
@@ -290,15 +291,22 @@ def test_a_stream_yields_the_built_rows_each_checked_once(monkeypatch, build, st
 def test_a_stream_refuses_before_any_row(monkeypatch, args, message):
     monkeypatch.setattr("filiform.systems._row", None)
     with pytest.raises(ValueError, match=message):
-        SystemStream(*args)
+        EquationSystem(*args)
+    # held equations used to be taken under any kind, size and inventory
+    with pytest.raises(ValueError, match=message):
+        EquationSystem(*args, equations=())
 
 
 def test_equation_system_guards():
     eq = Equation((2, 3, 0), f_poly(2, 3, 0), False)
-    with pytest.raises(ValueError):
-        EquationSystem("t", 9, "fixed-0", tuple(variable_inventory(9)), (eq, eq))
-    with pytest.raises(ValueError):
-        EquationSystem("t", 9, "fixed-0", ((2, 0),), (eq,))
+    with pytest.raises(ValueError, match=r"equation \(2, 3, 0\) repeats a row of M_Fil\(9\)"):
+        EquationSystem(9, "fixed-0", equations=(eq, eq))
+    stray = Equation((2, 3, 0), f_poly(2, 3, 0) + P.variable((9, 0)), False)
+    with pytest.raises(ValueError, match=r"equation \(2, 3, 0\) uses undeclared \{\(9, 0\)\}"):
+        EquationSystem(9, "fixed-0", equations=(stray,))
+    # a held system holds every row of its head
+    with pytest.raises(ValueError, match=r"M_Fil\(30\) lacks row \(2, 3, 0\)"):
+        EquationSystem(30, "fixed-1", equations=())
     system = system_finite(9)
     with pytest.raises(KeyError):
         system.equation((2, 4, 0))
