@@ -15,7 +15,8 @@ from typing import Mapping
 
 from .cochains import psi2_value
 from .lie import LieElement, LieStructure, _chain_relations
-from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators, var_key
+from .polynomials import (TOP, DeformPolynomial, Variable, check_variable,
+                          clear_denominators, var_key, var_weight)
 from .sparse import exact
 
 KNOWN_FAMILIES = ("m2", "L1", "mk", "L1-lacuna2")
@@ -80,11 +81,12 @@ def oracle_coefficient(j: int, q: int, r: int,
 
     Evaluates psi(psi(e_j,e_q),e_{q+1}) plus cyclic terms with psi running
     over the inventory, all coefficients symbolic.  A missing-but-needed
-    variable raises rather than silently truncating the answer.
+    variable raises rather than silently truncating the answer, and an
+    entry that is no deformation variable raises ValueError.
     """
     if inventory is None:
         inventory = conclusive_inventory(j, q, r, with_top=(r == -1))
-    inv = list(dict.fromkeys(inventory))
+    inv = list(dict.fromkeys(check_variable(v) for v in inventory))
     with_top = TOP in inv
     w = _label_total(j, q, r, with_top)
     # conclusive means: every cross-weight class reachable from a declared
@@ -101,8 +103,14 @@ def oracle_coefficient(j: int, q: int, r: int,
         raise InconclusiveInventoryError((j, q, r), missing)
     # pairs above the target index cannot reach e_w: skip, do not truncate
     usable = [v for v in inv if v == TOP or 2 * v[0] + 1 + v[1] <= w]
+    # Psi_{l,t} sends (e_idx, e_c) to e_{idx+c+t}: only weight w-idx-c can land
+    by_weight: dict[int, list] = {}
+    for v in usable:
+        by_weight.setdefault(var_weight(v), []).append(v)
+    # a monomial's variables in var_key order, the order DeformPolynomial keeps
+    rank = {v: i for i, v in enumerate(sorted(usable, key=var_key))}
 
-    terms = []
+    acc: dict = {}
     for a, b, c in ((j, q, q + 1), (q, q + 1, j), (q + 1, j, q)):
         # inner[idx]: the linear form psi(e_a, e_b) at e_idx, as (u, coeff) pairs
         inner: dict[int, list] = {}
@@ -111,11 +119,13 @@ def oracle_coefficient(j: int, q: int, r: int,
             if value is not None:
                 inner.setdefault(value[0], []).append((u, value[1]))
         for idx, row in inner.items():
-            for v in usable:
+            for v in by_weight.get(w - idx - c, ()):
                 value = _pair_value(v, idx, c, w)
                 if value is not None and value[0] == w:
-                    terms.extend(((v, u), value[1] * cu) for u, cu in row)
-    return DeformPolynomial(terms)
+                    for u, cu in row:
+                        key = (v, u) if rank[v] <= rank[u] else (u, v)
+                        acc[key] = acc.get(key, 0) + value[1] * cu
+    return DeformPolynomial._frozen(acc)
 
 
 def known_solution(name: str, t=1, k: int | None = None,

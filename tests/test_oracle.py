@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import filiform.oracle as oracle
+from filiform.cochains import psi2_value
 from filiform.lie import LieElement, make_fixture
 from filiform.oracle import (InconclusiveInventoryError, conclusive_inventory,
                              deformed_structure, evaluate_system,
@@ -69,6 +71,18 @@ class TestOracleCoefficient:
                                     inventory=[(2, 0), (3, 0), (4, 0), (9, 0)])
         assert padded == base
 
+    @pytest.mark.parametrize("inventory", [
+        [(2, 0), (3, 0), (4, 0), (9, 0.5)],
+        [(2, 0), (3, 0), (4, 0), (9, True)],
+        [(2, 0), (3, 0), (4, 0), (2, -1)],
+        [(2, 0), (3, 0), (4, 0), "y"],
+        [(2, 0), (3, 0), (4, 0.0)],
+    ], ids=["float-weight", "bool-weight", "negative-weight", "string", "float-zero"])
+    def test_malformed_inventory_entry_is_refused(self, inventory):
+        # the first two were taken silently, the last three reported wrongly
+        with pytest.raises(ValueError, match="not a deformation variable"):
+            oracle_coefficient(2, 3, 0, inventory=inventory)
+
     def test_l1_point_annihilates(self):
         poly = oracle_coefficient(2, 3, 0)
         assert poly.evaluate(known_solution("L1", bound=4)) == 0
@@ -92,17 +106,33 @@ class TestOracleCoefficient:
         for eq in system:
             assert oracle_coefficient(*eq.label) == eq.poly, eq.label
 
+    def test_matches_every_label_to_total_37(self):
+        system = system_truncated(37)
+        assert len(system) == 865
+        for eq in system:
+            assert oracle_coefficient(*eq.label) == eq.poly, eq.label
+
+    @staticmethod
+    def random_label(data, lo, hi):
+        total = data.draw(st.integers(lo, hi))
+        j = data.draw(st.integers(2, (total - 3) // 3))
+        q = data.draw(st.integers(j + 1, (total - j - 1) // 2))
+        return j, q, total - j - 2 * q - 1
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_closed_form_on_random_labels_past_31(self, data):
         # totals beyond the exhaustive sweep, one random label at a time
-        total = data.draw(st.integers(32, 45))
-        j = data.draw(st.integers(2, (total - 3) // 3))
-        q = data.draw(st.integers(j + 1, (total - j - 1) // 2))
-        label = (j, q, total - j - 2 * q - 1)
+        label = self.random_label(data, 32, 45)
         assert oracle_coefficient(*label) == f_poly(*label), label
 
-    @pytest.mark.parametrize("n", range(10, 25, 2))
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_closed_form_on_random_labels_past_37(self, data):
+        label = self.random_label(data, 38, 50)
+        assert oracle_coefficient(*label) == f_poly(*label), label
+
+    @pytest.mark.parametrize("n", range(10, 31, 2))
     def test_matches_even_top_rows(self, n):
         system = system_finite(n, "free")
         for eq in system.equations:
@@ -111,6 +141,32 @@ class TestOracleCoefficient:
             j, q, r = eq.label
             inventory = conclusive_inventory(j, q, r, with_top=True)
             assert oracle_coefficient(j, q, r, inventory) == eq.poly, eq.label
+
+
+def test_psi2_value_lands_on_k_plus_m_plus_s():
+    # the oracle tries only the cocycles of weight w - idx - c on (e_idx, e_c)
+    for n in range(3, 17):
+        labels = [(j, s) for j in range(2, n) for s in range(n) if 2 * j + 1 + s <= n]
+        if n % 2 == 0:
+            labels.append((n // 2, -1))
+        for j, s in labels:
+            for k, m in combinations(range(2, n + 1), 2):
+                value = psi2_value(j, s, n, k, m)
+                assert value is None or value[0] == k + m + s, (j, s, n, k, m)
+
+
+@pytest.mark.parametrize("shift", [(1, 0), (0, 1)], ids=["target", "coeff"])
+def test_a_psi2_value_mutation_is_seen_by_the_pruned_oracle(monkeypatch, shift):
+    def mutated(j, s, n, k, m):
+        value = psi2_value(j, s, n, k, m)
+        if (k, m) == (2, 5) and value is not None:
+            return value[0] + shift[0], value[1] + shift[1]
+        return value
+
+    monkeypatch.setattr(oracle, "psi2_value", mutated)
+    system = system_truncated(25)
+    diffs = [eq.label for eq in system if oracle_coefficient(*eq.label) != eq.poly]
+    assert len(diffs) == 28
 
 
 class TestKnownSolutions:
