@@ -1,7 +1,9 @@
 """Command-line front end: gen, dims, check, verify-oracle, fixture.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 usage error,
-3 I/O error.  All output is deterministic for fixed arguments.
+3 I/O error.  All output is deterministic for fixed arguments.  Each command
+imports the modules it runs when it runs, so `--help` loads no other module
+of the package.
 """
 
 from __future__ import annotations
@@ -11,11 +13,9 @@ import json
 import sys
 from contextlib import nullcontext
 
-from . import oracle, serialize, systems
-from .lie import make_fixture
-from .polynomials import var_key, var_text
-
 X_MODE_FLAG = {"free": "free", "0": "fixed-0", "1": "fixed-1"}
+# the families of oracle.known_solution, here so that the parser needs no oracle
+KNOWN_FAMILIES = ("m2", "L1", "mk", "L1-lacuna2")
 
 
 def _sink(path: str | None):
@@ -29,6 +29,7 @@ def _write(text: str, path: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
+    from . import serialize, systems
     writer = getattr(serialize, f"write_system_{args.format}")
     if args.dim is not None:
         # an unset --x reads as free
@@ -43,6 +44,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    from . import systems
     # dims_report raises unless closed forms, partition sums and enumeration agree
     report = systems.dims_report(args.dim)
     num_vars, num_eqs = report["num_vars"], report["num_eqs"]
@@ -60,6 +62,7 @@ def cmd_dims(args) -> int:
 
 
 def _load_assignment(args) -> dict:
+    from . import oracle, serialize
     if args.k is not None and args.known != "mk":
         raise ValueError("--k applies only to --known mk")
     if args.known is not None:
@@ -77,22 +80,24 @@ def _load_assignment(args) -> dict:
 
 
 def cmd_check(args) -> int:
+    from . import oracle, serialize, systems
+    from .polynomials import var_key, var_text
     assignment = _load_assignment(args)
-    # refuses a dimension below 9 first; residuals read only the inventory
-    residuals = systems.residuals(args.dim, assignment)
-    stray = set(assignment) - set(systems.declared_variables(args.dim, "free"))
+    system = systems.EquationSystem(args.dim)  # refuses a dimension below 9 first
+    stray = set(assignment) - set(system.variables)
     if stray:
         names = ", ".join(var_text(v) for v in sorted(stray, key=var_key))
         raise ValueError(f"variables outside the inventory of dimension {args.dim}: {names}")
+    residuals = systems.residuals(system, assignment)
     structure = oracle.deformed_structure(assignment, args.dim)
     defects = oracle.jacobi_scan(structure)
-    report = serialize.report_doc(systems.EquationSystem(args.dim).system_id, assignment,
-                                  residuals, defects)
+    report = serialize.report_doc(system.system_id, assignment, residuals, defects)
     _write(serialize.canonical_json(report), args.report)
     return 0 if report["verdict"] == "verified" else 1
 
 
 def cmd_verify_oracle(args) -> int:
+    from . import oracle, systems
     if args.max_total is not None:
         system = systems.EquationSystem(args.max_total, "fixed-0", truncated=True)
     else:
@@ -114,7 +119,8 @@ def cmd_verify_oracle(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    structure = make_fixture(args.name, args.dim, k=args.k, s=args.s, base=args.base)
+    from . import lie, serialize
+    structure = lie.make_fixture(args.name, args.dim, k=args.k, s=args.s, base=args.base)
     _write(serialize.canonical_json(serialize.fixture_doc(structure)), args.output)
     return 0
 
@@ -145,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="evaluate an assignment on a system")
     check.add_argument("--dim", type=int, required=True)
     source = check.add_mutually_exclusive_group(required=True)
-    source.add_argument("--known", choices=oracle.KNOWN_FAMILIES)
+    source.add_argument("--known", choices=KNOWN_FAMILIES)
     source.add_argument("--assign", help="JSON assignment file")
     check.add_argument("--k", type=int, default=None,
                        help="index for the mk family")

@@ -19,8 +19,6 @@ from .polynomials import (TOP, DeformPolynomial, Variable, check_variable,
                           clear_denominators, var_key, var_weight)
 from .sparse import exact
 
-KNOWN_FAMILIES = ("m2", "L1", "mk", "L1-lacuna2")
-
 
 class InconclusiveInventoryError(ValueError):
     """The supplied inventory cannot decide the requested coefficient."""

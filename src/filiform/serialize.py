@@ -8,11 +8,14 @@ unchanged.  Rationals travel as strings to keep floats out of the files.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .lie import LieElement, LieStructure
 from .polynomials import TOP, DeformPolynomial, check_variable, monomial_runs, var_cas, var_key
 from .sparse import exact
 from .systems import X_MODES, Equation, EquationSystem
+
+if TYPE_CHECKING:  # annotations only: gen never loads lie
+    from .lie import LieElement, LieStructure
 
 
 def canonical_json(doc) -> str:

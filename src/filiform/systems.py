@@ -226,14 +226,15 @@ def system_finite(n: int, x_mode: str = "free") -> EquationSystem:
     return EquationSystem(n, x_mode).held()
 
 
-def residuals(n: int, assignment) -> list[tuple[tuple[int, int, int], Fraction]]:
+def residuals(n, assignment) -> list[tuple[tuple[int, int, int], Fraction]]:
     """Residuals of system_finite(n, "free") at assignment, as oracle.evaluate_system
-    gives them, from the rows' forms: one Fraction per row, no polynomial built."""
-    rows = EquationSystem(n).rows  # refuses n < 9
+    gives them, from the rows' forms: one Fraction per row, no polynomial built.
+    n is the size or that system's head, EquationSystem(n)."""
+    head = n if isinstance(n, EquationSystem) else EquationSystem(n)  # refuses n < 9
     denom, numerators = clear_denominators(assignment)
     get, top = numerators.get, numerators.get(TOP, 0)
     out = []
-    for (j, q, r), tilde in rows:
+    for (j, q, r), tilde in head.rows:
         total = 0
         for t, left, right in _row_forms(j, q, r, X_MODES["free"] if tilde else None):
             if a := sum(c * get((l, t), 0) for l, c in left):

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from filiform import serialize, systems
-from filiform.cli import main
+from filiform.cli import KNOWN_FAMILIES, main
+from filiform.oracle import known_solution
 from filiform.polynomials import DeformPolynomial, var_cas, var_key
 from filiform.serialize import canonical_json, parse_system_doc, system_doc
 from filiform.systems import system_finite, system_truncated
@@ -281,6 +283,33 @@ def test_check_mk_outside_the_inventory(capsys):
     assert code == 0 and json.loads(out)["verdict"] == "verified"
     code, out, err = run(capsys, "check", "--dim", "13", "--known", "mk", "--k", "11")
     assert code == 2 and out == "" and "x_{2,9}" in err
+
+
+def test_known_families_are_the_solver_families():
+    # the parser's --known choices live in cli so that --help loads no oracle code
+    args = {"mk": {"k": 2}, "L1": {"bound": 4}, "L1-lacuna2": {"bound": 4}}
+    for name in KNOWN_FAMILIES:
+        assert known_solution(name, **args.get(name, {}))
+    with pytest.raises(ValueError, match="unknown solution family"):
+        known_solution("L2")
+    src = Path(__file__).resolve().parents[1] / "src" / "filiform"
+    defined = [path.name for path in sorted(src.glob("*.py"))
+               if "KNOWN_FAMILIES = " in path.read_text(encoding="utf-8")]
+    assert defined == ["cli.py"]
+
+
+def test_check_builds_its_head_once(capsys, monkeypatch):
+    built = []
+    init = systems.EquationSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(systems.EquationSystem, "__init__", counted)
+    code, out, _ = run(capsys, "check", "--dim", "14", "--known", "L1")
+    assert code == 0 and json.loads(out)["system-id"] == "M_Fil(14)[x=free]"
+    assert built == [(14,)]
 
 
 def test_check_mk_needs_k(capsys):
