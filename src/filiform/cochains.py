@@ -4,8 +4,8 @@ A cochain of degree q assigns a vector to each increasing basis q-tuple.
 Values are memoized; evaluation on arbitrary index tuples routes through
 the permutation sign, and any tuple containing index 1 evaluates to zero
 for the standard weighted cocycles (their scalar parts have no e^1 factor).
-d_adjoint and value_with_element build a value as one accumulator, frozen once;
-an out-of-order tuple folds its sign into the factor of the stored value.
+d_adjoint adds each value into one dict in one flat pass, its signs hoisted per
+call; an index goes into an increasing tuple by bisection, its position the sign.
 
 The weight-s degree-2 cocycle attached to sill index j has the closed form
     Psi_{j,s}(e_k, e_m) = (-1)^{j-k} C(m-j-1, j-k) e_{m+k+s},  k < m,
@@ -17,13 +17,15 @@ on the other.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
+from operator import lt
 from typing import Callable, Iterable, Sequence
 
 from .combinatorics import binomial
 from .forms import ExtForm, _sort_with_sign, dminus1, omega
-from .lie import LieElement, LieStructure
+from .lie import ZERO, LieElement, LieStructure
 from .sparse import exact
 
 
@@ -50,7 +52,7 @@ class AdjointCochain:
             return cached
         if len(tup) != self.degree:
             raise ValueError(f"expected {self.degree} indices, got {len(tup)}")
-        if any(a >= b for a, b in zip(tup, tup[1:])):
+        if not all(map(lt, tup, tup[1:])):
             raise ValueError(f"tuple {tup} is not strictly increasing")
         if tup[0] < 1 or tup[-1] > self.dim:
             raise ValueError(f"tuple {tup} out of range 1..{self.dim}")
@@ -64,7 +66,7 @@ class AdjointCochain:
             raise ValueError(f"expected {self.degree} indices, got {len(indices)}")
         tup, sign = _sort_with_sign(indices)
         if not sign:
-            return LieElement.zero()
+            return ZERO
         base = self.value_on_basis(tup)
         return base if sign == 1 else -base
 
@@ -72,14 +74,9 @@ class AdjointCochain:
         """Linear extension in the first slot: value(elem, *rest)."""
         if len(rest) + 1 != self.degree:
             raise ValueError(f"expected {self.degree} indices, got {len(rest) + 1}")
-        return LieElement._sum(self._parts_with_element(elem, rest))
-
-    def _parts_with_element(self, elem: LieElement, rest: Sequence[int], factor=1):
-        """Pairs (f, stored value) whose sum is factor * value(elem, *rest)."""
-        for idx, coeff in elem.terms:
-            tup, sign = _sort_with_sign((idx, *rest))
-            if sign:
-                yield sign * factor * coeff, self.value_on_basis(tup)
+        sorted_terms = ((_sort_with_sign((idx, *rest)), coeff) for idx, coeff in elem.terms)
+        return LieElement._sum((sign * coeff, self.value_on_basis(tup))
+                               for (tup, sign), coeff in sorted_terms if sign)
 
     def __repr__(self) -> str:
         tag = self.label or "cochain"
@@ -132,7 +129,7 @@ def psi2(j: int, s: int, n: int, method: str = "table") -> AdjointCochain:
         def rule(tup: tuple[int, ...]) -> LieElement:
             k, m = tup
             value = None if k == 1 else psi2_value(j, s, n, k, m)
-            return LieElement.zero() if value is None else LieElement.basis(*value)
+            return ZERO if value is None else LieElement._frozen({value[0]: value[1]})
     elif method == "series":
         rule = _series_rule(omega((j, j + 1)), 2 * j + 1, s, n)
     else:
@@ -157,18 +154,18 @@ def _series_rule(base: ExtForm, base_weight: int, s: int, n: int):
     forms = [base]
     for _ in range(max(0, n - base_weight - s)):
         forms.append(dminus1(forms[-1]))
+    tower = [dict(form.terms) for form in forms]  # a basis tuple is a sorted monomial
 
     def rule(tup: tuple[int, ...]) -> LieElement:
         if tup[0] == 1:
-            return LieElement.zero()
-        step = sum(tup) - base_weight
-        if not 0 <= step < len(forms):
+            return ZERO
+        weight = sum(tup)
+        step = weight - base_weight
+        if not 0 <= step < len(tower):
             # below the base weight, or past the tower (the target would exceed n)
-            return LieElement.zero()
-        coeff = forms[step].coefficient(tup)
-        if not coeff:
-            return LieElement.zero()
-        return LieElement.basis(sum(tup) + s, coeff)
+            return ZERO
+        coeff = tower[step].get(tup)
+        return LieElement._frozen({weight + s: coeff}) if coeff else ZERO
 
     return rule
 
@@ -197,35 +194,48 @@ def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
                        + sum_{i<j} (-1)^{i+j} c([x_i,x_j], .. x_i .. x_j ..)
     with 1-based positions and hats marking omitted arguments.
 
-    Brackets are read once into rows, targets above n dropped; each value sums
-    (factor, row) and (factor, value of c) pairs in one accumulator, frozen once.
+    Brackets are read once into rows of terms (targets above n dropped) and the
+    signs listed once per call; each value adds into one dict, frozen once (ZERO
+    if it sums to 0).  In c([x_i,x_j], ..) the rest is increasing: idx goes in at
+    pos = bisect_left(rest, idx) with sign (-1)^pos, and drops if rest[pos] == idx.
     """
     if base.dim < c.dim:
         raise ValueError("base structure cutoff below cochain cutoff")
-    n = c.dim
-    rows: dict[tuple[int, int], LieElement] = {}
+    n, top = c.dim, base.dim
+    rows: dict[tuple[int, int], tuple] = {}
     for i, j, value in base.relations():
-        rows[(i, j)] = value.clipped(n)
-        rows[(j, i)] = -rows[(i, j)]
-
-    def parts(tup: tuple[int, ...]):
-        for p, idx in enumerate(tup):
-            for j, cj in c.value_on_basis(tup[:p] + tup[p + 1:]).terms:
-                row = rows.get((idx, j))
-                if row is not None:
-                    yield -cj if p % 2 else cj, row
-                elif j > base.dim:
-                    raise ValueError(f"basis index out of range: ({idx},{j}) "
-                                     f"with cutoff {base.dim}")
-        for p, r in combinations(range(len(tup)), 2):
-            row = rows.get((tup[p], tup[r]))
-            if row is not None:
-                rest = tup[:p] + tup[p + 1:r] + tup[r + 1:]
-                # 1-based positions: sign (-1)^{(p+1)+(r+1)} = (-1)^{p+r}
-                yield from c._parts_with_element(row, rest, -1 if (p + r) % 2 else 1)
+        rows[(i, j)] = value.clipped(n).terms
+        rows[(j, i)] = tuple((k, -v) for k, v in rows[(i, j)])
+    # 1-based positions: (-1)^{(p+1)+1} = (-1)^p, and (-1)^{(p+1)+(r+1)} = (-1)^{p+r}
+    size = c.degree + 1
+    position_signs = [(p, (-1) ** p) for p in range(size)]
+    pair_signs = [(p, r, (-1) ** (p + r)) for p, r in combinations(range(size), 2)]
+    value_on_basis = c.value_on_basis  # every read of c goes through its memo and checks
 
     def rule(tup: tuple[int, ...]) -> LieElement:
-        return LieElement._sum(parts(tup))
+        acc: dict[int, Fraction] = {}
+        get = acc.get
+        for p, sign in position_signs:
+            idx = tup[p]
+            for j, cj in value_on_basis(tup[:p] + tup[p + 1:]).terms:
+                if j > top:
+                    raise ValueError(f"basis index out of range: ({idx},{j}) with cutoff {top}")
+                f = sign * cj
+                for k, v in rows.get((idx, j), ()):
+                    acc[k] = get(k, 0) + f * v
+        for p, r, sign in pair_signs:
+            row = rows.get((tup[p], tup[r]))
+            if row is None:
+                continue
+            rest = tup[:p] + tup[p + 1:r] + tup[r + 1:]
+            for idx, coeff in row:
+                pos = bisect_left(rest, idx)
+                if pos < len(rest) and rest[pos] == idx:
+                    continue  # a repeated argument: c vanishes
+                f = -sign * coeff if pos % 2 else sign * coeff
+                for k, v in value_on_basis(rest[:pos] + (idx,) + rest[pos:]).terms:
+                    acc[k] = get(k, 0) + f * v
+        return LieElement._frozen(acc) if any(acc.values()) else ZERO
 
     label = f"d({c.label})" if c.label else "d(cochain)"
     return AdjointCochain(c.degree + 1, n, rule, weight=c.weight, label=label)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,7 @@ from filiform.cochains import (AdjointCochain, DecompositionError, d_adjoint,
                                decompose3, linear_combination, nr_bracket22,
                                psi2, psi2_value, psi3, psi_top)
 from filiform.lie import LieElement, make_fixture
+from filiform.oracle import deformed_structure, jacobi_scan
 
 
 def e(i, c=1):
@@ -157,21 +159,67 @@ def _combination(n):
                                ("7/4", psi2(2, 2, n)), (3, psi2(4, 0, n))], 2, n)
 
 
+def _random_table(degree, n, seed):
+    # a seeded cochain that is not closed: rational values on about half the
+    # tuples, tuples with e_1 included, and some values with an e_1 component
+    rng = random.Random(seed)
+    table = {}
+    for tup in combinations(range(1, n + 1), degree):
+        if rng.random() < 0.5:
+            indices = rng.sample(range(2, n + 1), rng.randint(1, 2))
+            if rng.random() < 0.3:
+                indices.append(1)
+            table[tup] = LieElement((i, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                                    for i in indices)
+    return AdjointCochain(degree, n, lambda tup: table.get(tup, LieElement.zero()),
+                          label=f"random{degree}")
+
+
+def _off_variety(n, seed=3):
+    # m0 plus a seeded combination of every degree-2 cocycle of cutoff n
+    rng = random.Random(seed)
+    point = {(j, s): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+             for j, s in labels2(n)}
+    return deformed_structure(point, n)
+
+
+def _base(name, size):
+    return _off_variety(size) if name == "deformed" else make_fixture(name, size)
+
+
+@pytest.mark.parametrize("n", [9, 10, 13])
+def test_the_deformed_base_is_off_the_variety(n):
+    # neither a Lie algebra nor graded: brackets land on several weights
+    base = _off_variety(n)
+    assert jacobi_scan(base)
+    assert len({idx - i - j for i, j, value in base.relations() for idx, _ in value.terms}) > 1
+
+
 @pytest.mark.parametrize("name, cochain, extra", [
     ("L1", psi2(2, 0, 9), 0), ("m2", psi2(3, 1, 9), 0), ("L1", psi3(2, 3, 0, 9), 0),
     ("L1", psi2(3, 1, 10, method="series"), 0), ("m2", _combination(10), 0),
     ("m2", psi3(2, 3, 1, 10), 0), ("L1", psi2(2, 0, 9), 3), ("m2", _combination(10), 3),
     ("L1", psi3(2, 3, 0, 10), 3),
+    ("L1", _random_table(2, 9, 1), 0), ("m2", _random_table(3, 9, 2), 0),
+    ("L1", _random_table(2, 9, 3), 3), ("m1", psi2(3, 0, 10), 0),
+    ("m1", _random_table(2, 10, 4), 0), ("m1", _random_table(3, 10, 5), 0),
+    ("deformed", psi2(2, 0, 10), 0), ("deformed", psi2(3, 0, 10, method="series"), 0),
+    ("deformed", _random_table(2, 10, 6), 0), ("deformed", _random_table(3, 9, 7), 3),
 ], ids=["psi2-on-L1", "psi2-on-m2", "psi3-on-L1", "psi2-series-on-L1", "psi2-combination-on-m2",
         "psi3-on-m2", "psi2-on-L1-above-n", "psi2-combination-on-m2-above-n",
-        "psi3-on-L1-above-n"])
+        "psi3-on-L1-above-n", "random2-on-L1", "random3-on-m2", "random2-on-L1-above-n",
+        "psi2-on-m1", "random2-on-m1", "random3-on-m1", "psi2-on-deformed",
+        "psi2-series-on-deformed", "random2-on-deformed", "random3-on-deformed-above-n"])
 def test_d_adjoint_equals_the_differential_formula(name, cochain, extra):
     # on m0 only [e_1, .] is nonzero and the cocycles vanish on e_1, so the
-    # sign of the [x_i, c(..)] terms at odd positions shows only on other bases;
-    # a base above n has brackets past e_n, which d_adjoint drops
+    # sign of the [x_i, c(..)] terms at odd positions shows only on other bases
+    # or for the random cochains, which are not closed and carry e_1; m1 and
+    # the deformed base have brackets of several weights, and the deformed one
+    # breaks Jacobi; a base above n has brackets past e_n, which d_adjoint drops
     n = cochain.dim
-    base = make_fixture(name, n + extra)
+    base = _base(name, n + extra)
     dc = d_adjoint(cochain, base)
+    nonzero = 0
     for tup in combinations(range(1, n + 1), cochain.degree + 1):
         expected = LieElement.zero()
         for p, idx in enumerate(tup):
@@ -182,6 +230,9 @@ def test_d_adjoint_equals_the_differential_formula(name, cochain, extra):
             bracket = base.bracket_basis(tup[p], tup[r]).clipped(n)
             expected += (-1) ** (p + r) * _first_slot(cochain, bracket, *rest)
         assert dc.value_on_basis(tup) == expected.clipped(n), tup
+        nonzero += not expected.is_zero
+    # the random cochains are not closed: a d_adjoint giving 0 everywhere fails
+    assert nonzero or not cochain.label.startswith("random")
 
 
 @pytest.mark.parametrize("n", [9, 12])
@@ -309,3 +360,15 @@ def test_degree_guards():
     for rest in ((), (3, 4), (3, 3)):
         with pytest.raises(ValueError):
             c.value_with_element(e(3), rest)
+
+
+@pytest.mark.parametrize("degree, tup", [
+    (2, (5, 3)), (2, (3, 11)), (2, (3, 3)), (2, (0, 3)), (2, (2,)), (2, (2, 3, 4)),
+    (3, (2, 4, 4)), (3, (2, 5, 4)),
+], ids=["decreasing", "above-n", "repeated", "index-0", "too-short", "too-long",
+        "psi3-repeated", "psi3-decreasing"])
+def test_value_on_basis_refusals_leave_the_memo_empty(degree, tup):
+    c = psi2(2, 0, 10) if degree == 2 else psi3(2, 3, 0, 10)
+    with pytest.raises(ValueError):
+        c.value_on_basis(tup)
+    assert c._memo == {}
