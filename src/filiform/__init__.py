@@ -9,8 +9,8 @@ from importlib import import_module
 
 # each re-exported name by its home module, imported on first access (PEP 562)
 _HOMES = {
-    "cochains": ("AdjointCochain", "DecompositionError", "d_adjoint", "decompose3",
-                 "linear_combination", "nr_bracket22", "psi2", "psi2_value", "psi3", "psi_top"),
+    "cochains": ("AdjointCochain", "d_adjoint", "linear_combination", "psi2", "psi2_value",
+                 "psi3", "psi_top"),
     "combinatorics": ("binomial", "partitions_exact"),
     "forms": ("ExtForm", "d1", "d_trivial", "dminus1", "omega", "wedge"),
     "lie": ("LieElement", "LieStructure", "make_fixture"),

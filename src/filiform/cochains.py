@@ -4,15 +4,15 @@ A cochain of degree q assigns a vector to each increasing basis q-tuple.
 Values are memoized; evaluation on arbitrary index tuples routes through
 the permutation sign, and any tuple containing index 1 evaluates to zero
 for the standard weighted cocycles (their scalar parts have no e^1 factor).
-d_adjoint adds each value into one dict in one flat pass, its signs hoisted per
-call; an index goes into an increasing tuple by bisection, its position the sign.
 
 The weight-s degree-2 cocycle attached to sill index j has the closed form
     Psi_{j,s}(e_k, e_m) = (-1)^{j-k} C(m-j-1, j-k) e_{m+k+s},  k < m,
 supported on k <= j, k+m >= 2j+1, m+k+s <= n.  The same cochain arises as
     sum_r  e_{2j+1+s+r} (x) dminus1^r(omega(e^j ^ e^{j+1})),
 and both constructions are kept side by side on purpose: one is the check
-on the other.
+on the other.  At a point p without the marker x, Psi_p = sum x_{l,t} Psi_{l,t}
+is a cocycle, and the Jacobi defect of m0 + Psi_p is 1/2 [Psi_p, Psi_p] =
+sum F_{j,q,r}(p) psi3(j, q, r): test_jacobi_defect_is_the_residual_combination.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from operator import lt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .combinatorics import binomial
 from .forms import ExtForm, _sort_with_sign, dminus1, omega
@@ -34,6 +34,7 @@ class AdjointCochain:
 
     def __init__(self, degree: int, dim: int, rule: Callable[[tuple[int, ...]], LieElement],
                  weight: int | None = None, label: str = ""):
+        _require_ints(degree=degree, dim=dim)
         if degree < 1:
             raise ValueError("degree must be >= 1")
         if dim < 1:
@@ -70,18 +71,16 @@ class AdjointCochain:
         base = self.value_on_basis(tup)
         return base if sign == 1 else -base
 
-    def value_with_element(self, elem: LieElement, rest: Sequence[int]) -> LieElement:
-        """Linear extension in the first slot: value(elem, *rest)."""
-        if len(rest) + 1 != self.degree:
-            raise ValueError(f"expected {self.degree} indices, got {len(rest) + 1}")
-        sorted_terms = ((_sort_with_sign((idx, *rest)), coeff) for idx, coeff in elem.terms)
-        return LieElement._sum((sign * coeff, self.value_on_basis(tup))
-                               for (tup, sign), coeff in sorted_terms if sign)
-
     def __repr__(self) -> str:
         tag = self.label or "cochain"
         w = "?" if self.weight is None else self.weight
         return f"<AdjointCochain {tag} deg={self.degree} weight={w} n={self.dim}>"
+
+
+def _require_ints(**values) -> None:
+    """Refuse a label, size or degree that is not an int: a bool or a float is none."""
+    if bad := [f"{name}={value!r}" for name, value in values.items() if type(value) is not int]:
+        raise ValueError(f"labels, sizes and degrees must be ints, got {', '.join(bad)}")
 
 
 def psi2_value(j: int, s: int, n: int, k: int, m: int) -> tuple[int, int] | None:
@@ -124,6 +123,7 @@ def psi2(j: int, s: int, n: int, method: str = "table") -> AdjointCochain:
     method="table" uses the closed form; method="series" rebuilds the values
     from the scalar cocycle omega(e^j ^ e^{j+1}) and the shift operator.
     """
+    _require_ints(j=j, s=s, n=n)
     _check_psi2_params(j, s, n)
     if method == "table":
         def rule(tup: tuple[int, ...]) -> LieElement:
@@ -176,6 +176,7 @@ def psi3(i: int, j: int, s: int, n: int) -> AdjointCochain:
     Values come from the scalar cocycle omega(e^i ^ e^j ^ e^{j+1}):
     the component at total input weight w is paired with e_{w+s}.
     """
+    _require_ints(i=i, j=j, s=s, n=n)
     if not 2 <= i < j:
         raise ValueError("need 2 <= i < j")
     if s < 0:
@@ -241,28 +242,6 @@ def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
     return AdjointCochain(c.degree + 1, n, rule, weight=c.weight, label=label)
 
 
-def nr_bracket22(a: AdjointCochain, b: AdjointCochain) -> AdjointCochain:
-    """Symmetric bracket of two degree-2 cochains, a degree-3 cochain.
-
-    [a,b](x,y,z) = a(b(x,y),z) + a(b(y,z),x) + a(b(z,x),y)
-                 + b(a(x,y),z) + b(a(y,z),x) + b(a(z,x),y).
-    """
-    if a.degree != 2 or b.degree != 2:
-        raise ValueError("bracket is defined for degree-2 cochains")
-    if a.dim != b.dim:
-        raise ValueError("operands must share the dimension cutoff")
-    weight = None if a.weight is None or b.weight is None else a.weight + b.weight
-
-    def rule(tup: tuple[int, ...]) -> LieElement:
-        x, y, z = tup
-        return LieElement._sum((1, f.value_with_element(g.value(u, v), (w,)))
-                               for f, g in ((a, b), (b, a))
-                               for u, v, w in ((x, y, z), (y, z, x), (z, x, y)))
-
-    label = f"[{a.label or 'a'},{b.label or 'b'}]"
-    return AdjointCochain(3, a.dim, rule, weight=weight, label=label)
-
-
 def linear_combination(parts: Iterable[tuple[Fraction, AdjointCochain]], degree: int,
                        n: int) -> AdjointCochain:
     """sum c_i * f_i as a single cochain (weights need not match)."""
@@ -276,38 +255,3 @@ def linear_combination(parts: Iterable[tuple[Fraction, AdjointCochain]], degree:
 
     return AdjointCochain(degree, n, rule, weight=None, label="sum")
 
-
-class DecompositionError(ValueError):
-    def __init__(self, message: str, triple: tuple[int, ...]):
-        super().__init__(f"{message} at {triple}")
-        self.triple = triple
-
-
-def decompose3(phi: AdjointCochain) -> dict[tuple[int, int, int], Fraction]:
-    """Coordinates of a degree-3 cochain in the (j, q, r) cocycle basis.
-
-    The coefficient of the basis cocycle with label (j, q, r) is read off
-    the value on (e_j, e_q, e_{q+1}): that value's component at
-    e_{j+2q+1+r}.  Requires phi to vanish on triples containing e_1 and to
-    carry no component below weight -1.
-    """
-    if phi.degree != 3:
-        raise ValueError("decompose3 expects a degree-3 cochain")
-    n = phi.dim
-    for k in range(2, n):
-        for m in range(k + 1, n + 1):
-            bad = phi.value_on_basis((1, k, m))
-            if not bad.is_zero:
-                raise DecompositionError("nonzero value on a triple containing e_1",
-                                         (1, k, m))
-    coords: dict[tuple[int, int, int], Fraction] = {}
-    for j in range(2, n):
-        for q in range(j + 1, n):
-            val = phi.value_on_basis((j, q, q + 1))
-            for idx, coeff in val.terms:
-                r = idx - (j + 2 * q + 1)
-                if r < -1:
-                    raise DecompositionError(f"component e_{idx} below weight -1",
-                                             (j, q, q + 1))
-                coords[(j, q, r)] = coeff
-    return coords

@@ -129,6 +129,8 @@ def oracle_coefficient(j: int, q: int, r: int,
 def known_solution(name: str, t=1, k: int | None = None,
                    bound: int | None = None) -> dict[Variable, Fraction]:
     """Assignment for one of the families known to lie on the variety."""
+    if any(v is not None and type(v) is not int for v in (k, bound)):
+        raise ValueError(f"k and bound must be ints, got k={k!r}, bound={bound!r}")
     t = exact(t)
     if name == "m2":
         return {(2, 0): t}

@@ -198,6 +198,16 @@ class TestKnownSolutions:
         with pytest.raises(ValueError, match=f"family {name} needs a truncation bound >= 2"):
             known_solution(name, bound=bound)
 
+    @pytest.mark.parametrize("name, args", [
+        ("mk", {"k": 2.5}), ("mk", {"k": 3.0}), ("mk", {"k": True}), ("L1", {"bound": 5.5}),
+        ("L1", {"bound": 5.0}), ("L1-lacuna2", {"bound": 4.0}), ("L1", {"bound": True}),
+    ], ids=["k-half", "k-float", "k-bool", "bound-half", "bound-float", "lacuna-bound-float",
+            "bound-bool"])
+    def test_non_int_k_or_bound_is_refused(self, name, args):
+        # k = 2.5 gave {(2, 0.5): 1}, no deformation variable, whose residuals read 0
+        with pytest.raises(ValueError, match="must be ints"):
+            known_solution(name, **args)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             known_solution("m1")
