@@ -26,22 +26,21 @@ from typing import Callable, Iterable
 from .combinatorics import binomial
 from .forms import ExtForm, _sort_with_sign, dminus1, omega
 from .lie import ZERO, LieElement, LieStructure
-from .sparse import exact
+from .sparse import exact, require_ints
 
 
 class AdjointCochain:
     """Alternating multilinear map on basis tuples with vector values."""
 
     def __init__(self, degree: int, dim: int, rule: Callable[[tuple[int, ...]], LieElement],
-                 weight: int | None = None, label: str = ""):
-        _require_ints(degree=degree, dim=dim)
+                 label: str = ""):
+        require_ints(degree=degree, dim=dim)
         if degree < 1:
             raise ValueError("degree must be >= 1")
         if dim < 1:
             raise ValueError("dimension cutoff must be >= 1")
         self.degree = degree
         self.dim = dim
-        self.weight = weight
         self.label = label
         self._rule = rule
         self._memo: dict[tuple[int, ...], LieElement] = {}
@@ -73,14 +72,7 @@ class AdjointCochain:
 
     def __repr__(self) -> str:
         tag = self.label or "cochain"
-        w = "?" if self.weight is None else self.weight
-        return f"<AdjointCochain {tag} deg={self.degree} weight={w} n={self.dim}>"
-
-
-def _require_ints(**values) -> None:
-    """Refuse a label, size or degree that is not an int: a bool or a float is none."""
-    if bad := [f"{name}={value!r}" for name, value in values.items() if type(value) is not int]:
-        raise ValueError(f"labels, sizes and degrees must be ints, got {', '.join(bad)}")
+        return f"<AdjointCochain {tag} deg={self.degree} n={self.dim}>"
 
 
 def psi2_value(j: int, s: int, n: int, k: int, m: int) -> tuple[int, int] | None:
@@ -123,7 +115,7 @@ def psi2(j: int, s: int, n: int, method: str = "table") -> AdjointCochain:
     method="table" uses the closed form; method="series" rebuilds the values
     from the scalar cocycle omega(e^j ^ e^{j+1}) and the shift operator.
     """
-    _require_ints(j=j, s=s, n=n)
+    require_ints(j=j, s=s, n=n)
     _check_psi2_params(j, s, n)
     if method == "table":
         def rule(tup: tuple[int, ...]) -> LieElement:
@@ -134,7 +126,7 @@ def psi2(j: int, s: int, n: int, method: str = "table") -> AdjointCochain:
         rule = _series_rule(omega((j, j + 1)), 2 * j + 1, s, n)
     else:
         raise ValueError("method must be 'table' or 'series'")
-    return AdjointCochain(2, n, rule, weight=s, label=f"Psi_{{{j},{s}}}")
+    return AdjointCochain(2, n, rule, label=f"Psi_{{{j},{s}}}")
 
 
 def psi_top(k: int) -> AdjointCochain:
@@ -176,7 +168,7 @@ def psi3(i: int, j: int, s: int, n: int) -> AdjointCochain:
     Values come from the scalar cocycle omega(e^i ^ e^j ^ e^{j+1}):
     the component at total input weight w is paired with e_{w+s}.
     """
-    _require_ints(i=i, j=j, s=s, n=n)
+    require_ints(i=i, j=j, s=s, n=n)
     if not 2 <= i < j:
         raise ValueError("need 2 <= i < j")
     if s < 0:
@@ -185,7 +177,7 @@ def psi3(i: int, j: int, s: int, n: int) -> AdjointCochain:
     if base_weight + s > n:
         raise ValueError(f"label (i={i}, j={j}, s={s}) does not fit below cutoff {n}")
     rule = _series_rule(omega((i, j, j + 1)), base_weight, s, n)
-    return AdjointCochain(3, n, rule, weight=s, label=f"Psi_{{{i},{j},{s}}}")
+    return AdjointCochain(3, n, rule, label=f"Psi_{{{i},{j},{s}}}")
 
 
 def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
@@ -239,7 +231,7 @@ def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
         return LieElement._frozen(acc) if any(acc.values()) else ZERO
 
     label = f"d({c.label})" if c.label else "d(cochain)"
-    return AdjointCochain(c.degree + 1, n, rule, weight=c.weight, label=label)
+    return AdjointCochain(c.degree + 1, n, rule, label=label)
 
 
 def linear_combination(parts: Iterable[tuple[Fraction, AdjointCochain]], degree: int,
@@ -253,5 +245,5 @@ def linear_combination(parts: Iterable[tuple[Fraction, AdjointCochain]], degree:
     def rule(tup: tuple[int, ...]) -> LieElement:
         return LieElement._sum((c, f.value_on_basis(tup)) for c, f in parts)
 
-    return AdjointCochain(degree, n, rule, weight=None, label="sum")
+    return AdjointCochain(degree, n, rule, label="sum")
 

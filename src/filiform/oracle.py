@@ -17,7 +17,7 @@ from .cochains import psi2_value
 from .lie import LieElement, LieStructure, _chain_relations
 from .polynomials import (TOP, DeformPolynomial, Variable, check_variable,
                           clear_denominators, var_key, var_weight)
-from .sparse import exact
+from .sparse import exact, require_ints
 
 
 class InconclusiveInventoryError(ValueError):
@@ -32,6 +32,7 @@ class InconclusiveInventoryError(ValueError):
 
 def _label_total(j: int, q: int, r: int, with_top: bool) -> int:
     """Total index j+2q+1+r of a label that the marker setting can reach."""
+    require_ints(j=j, q=q, r=r)
     if not (2 <= j < q):
         raise ValueError(f"label needs 2 <= j < q, got j={j}, q={q}")
     if r < -1:
@@ -169,6 +170,7 @@ def first_violation(system, assignment: Mapping[Variable, Fraction]):
 
 def deformed_structure(assignment: Mapping[Variable, Fraction], n: int) -> LieStructure:
     """Chain bracket plus the assigned cocycle combination, cut at e_n."""
+    require_ints(n=n)
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     values = {v: exact(a) for v, a in assignment.items()}

@@ -9,7 +9,6 @@ Assignments map variables to rationals and evaluation is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
 from math import lcm
 from typing import Iterable, Mapping, Union
 
@@ -64,7 +63,13 @@ _AFTER_PAIRS = _AfterPairs()
 
 def monomial_runs(mono: Monomial) -> list[tuple[Variable, int]]:
     """(variable, power) for each run of equal variables in a canonical monomial."""
-    return [(v, sum(1 for _ in run)) for v, run in groupby(mono)]
+    runs: list = []
+    for v in mono:
+        if runs and runs[-1][0] == v:
+            runs[-1] = (v, runs[-1][1] + 1)
+        else:
+            runs.append((v, 1))
+    return runs
 
 
 def clear_denominators(values: Mapping) -> tuple[int, dict]:

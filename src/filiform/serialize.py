@@ -117,17 +117,20 @@ def write_system_json(system: EquationSystem, write) -> None:
             return "[]"
         return "[" + nl[depth] + ("," + nl[depth]).join(texts) + nl[depth - 1] + "]"
 
-    def run(v, power):
-        fields = ['"x"', str(power)] if v == TOP else [str(v[0]), str(v[1]), str(power)]
-        return items(fields, 7)
-
+    runs: dict = {}
     vars_cache: dict = {}
 
     def monomial_vars(mono):
-        # monomials recur across equations; render each one's runs once
-        text = vars_cache.get(mono)
-        if text is None:
-            text = vars_cache[mono] = items([run(v, power) for v, power in monomial_runs(mono)], 6)
+        # monomials recur across equations, and runs across monomials: render
+        # each run once, and each monomial's "vars" list once
+        texts = []
+        for v, power in monomial_runs(mono):
+            text = runs.get((v, power))
+            if text is None:
+                fields = ['"x"', str(power)] if v == TOP else [str(v[0]), str(v[1]), str(power)]
+                text = runs[(v, power)] = items(fields, 7)
+            texts.append(text)
+        text = vars_cache[mono] = items(texts, 6)
         return text
 
     def variable(v):
@@ -138,13 +141,22 @@ def write_system_json(system: EquationSystem, write) -> None:
     # the sorted keys put "equations" first, and the rest of the head after them
     write("{" + nl[1] + '"equations": ')
     opening = "["
+    # a monomial is {"coeff": ..., "vars": ...}: its text is head + coeff + mid +
+    # vars + tail, and between two monomials tail + "," + head is one separator
+    head, mid, tail = "{" + nl[5] + '"coeff": "', '",' + nl[5] + '"vars": ', nl[4] + "}"
+    sep = tail + "," + nl[4] + head
+    known = vars_cache.get
     for eq in system:
-        monomials = ["{" + nl[5] + f'"coeff": "{coeff}",' + nl[5]
-                     + '"vars": ' + monomial_vars(mono) + nl[4] + "}"
-                     for mono, coeff in eq.poly.terms]
+        if eq.poly.terms:
+            monomials = ("[" + nl[4] + head
+                         + sep.join([f"{coeff}{mid}{known(mono) or monomial_vars(mono)}"
+                                     for mono, coeff in eq.poly.terms])
+                         + tail + nl[3] + "]")
+        else:
+            monomials = "[]"
         write(opening + nl[2]
               + "{" + nl[3] + '"label": ' + items([str(c) for c in eq.label], 4)
-              + "," + nl[3] + '"monomials": ' + items(monomials, 4)
+              + "," + nl[3] + '"monomials": ' + monomials
               + "," + nl[3] + '"tilde": ' + ("true" if eq.tilde else "false")
               + nl[2] + "}")
         opening = ","

@@ -32,6 +32,12 @@ def exact(value):
     raise ValueError(f"value {value!r} is a {type(value).__name__}; write rationals as strings")
 
 
+def require_ints(**values) -> None:
+    """Refuse a label, size or degree that is not an int: a bool or a float is none."""
+    if bad := [f"{name}={value!r}" for name, value in values.items() if type(value) is not int]:
+        raise ValueError(f"labels, sizes and degrees must be ints, got {', '.join(bad)}")
+
+
 class SparseCombination:
     """Terms (key, coeff), sorted by _order, with no zero coefficient."""
 
@@ -57,8 +63,12 @@ class SparseCombination:
         The caller vouches for the keys: they are neither checked nor
         re-canonicalised.  Zero coefficients are dropped and the terms sorted once.
         """
+        return cls._of_terms(sorted([(k, c) for k, c in acc.items() if c], key=cls._order))
+
+    @classmethod
+    def _of_terms(cls, terms):
+        """The combination of terms that the caller vouches are canonical, nonzero and in order."""
         self = object.__new__(cls)
-        terms = sorted([(k, c) for k, c in acc.items() if c], key=cls._order)
         object.__setattr__(self, "terms", tuple(terms))
         return self
 

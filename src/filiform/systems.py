@@ -6,11 +6,12 @@ in l with x_{l,t} for every t, and R1_t, R2_t, R3_t pair binomials in m
 with x_{m,r-t}.  Out-of-range binomials vanish by the zero convention, so
 the floor-bracket sills only bound the loops, never the support.  At even
 n = 2k the marker x is x_{k,-1}, and a top row F + (-1)^{k-j-q} x G is the
-same sum taken to t = r+1.  _row_forms is this one closed form, with two
-consumers: _row expands it into a polynomial, and residuals evaluates it at a
-point, sum_t A_t(p) * B_t(p), without building one.  An EquationSystem is a
-head (size, truncated or not, marker mode) and every row of it, in order:
-held once checked, or built and checked one at a time as it is iterated.
+same sum taken to t = r+1.  _left_forms and _right_forms are this one closed
+form, read through a pass's _Forms table by two consumers: _row expands it into
+a polynomial, and residuals evaluates it at a point, sum_t A_t(p) * B_t(p),
+without building one.  An EquationSystem is a head (size, truncated or not,
+marker mode) and every row of it, in order: held once checked, or built and
+checked one at a time as it is iterated.
 The independent cross-check lives in oracle.py and never calls into here.
 """
 
@@ -22,6 +23,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .combinatorics import binomial, partitions_exact
 from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators
+from .sparse import require_ints
 
 # the marker's partner in the t = r+1 term of a top row: x kept (free),
 # x = 1 (fixed-1), or no such term at all (x = 0)
@@ -29,55 +31,99 @@ X_MODES = {"free": (TOP,), "fixed-0": None, "fixed-1": ()}
 
 
 def _check_dim(size: int, what: str = "dimension") -> None:
+    require_ints(size=size)
     if size < 9:
         raise ValueError(f"{what} must be >= 9, got {size}")
 
 
 def _check_label(j: int, q: int, r: int, r_min: int) -> None:
+    require_ints(j=j, q=q, r=r)
     if not (2 <= j < q):
         raise ValueError(f"equation label needs 2 <= j < q, got j={j}, q={q}")
     if r < r_min:
         raise ValueError(f"r must be >= {r_min}, got {r}")
 
 
-def _left_forms(j: int, q: int) -> tuple[list, list]:
-    """L1 and L2 as (l, coefficient) lists; they pair with x_{l,t} for any t."""
-    l1 = [(l, c) for l in range(j, (j + q - 1) // 2 + 1)
-          if (c := (-1) ** (l - j) * binomial(q - l - 1, l - j))]
-    l2 = [(l, c) for l in range(j, (j + q) // 2 + 1)
-          if (c := (-1) ** (l - j) * binomial(q - l, l - j))]
-    return l1, l2
+def _left_forms(j: int, q: int) -> list[tuple[int, int, int]]:
+    """(l, L1, L2) for j <= l < q; they pair with x_{l,t} for any t, and vanish above (j+q)/2."""
+    return [(l, (-1) ** (l - j) * binomial(q - l - 1, l - j),
+             (-1) ** (l - j) * binomial(q - l, l - j)) for l in range(j, q)]
 
 
-def _row_forms(j: int, q: int, r: int, marker):
-    """(t, left, right) per product of two linear forms in F_{j,q,r}: left pairs (l, c)
-    with x_{l,t}, right (m, c) with x_{m,r-t}, or with the marker at t = r+1 if given."""
-    l1, l2 = _left_forms(j, q)
-    for t in range(r + 1 if marker is None else r + 2):
-        m_hi = q + (j + t) // 2
-        # at t = r+1 only m = k = m_hi has a partner: x_{k,-1}, the marker
-        m_lo = j if t <= r else m_hi
-        r1 = [(m, c) for m in range(max(q + 1, m_lo), m_hi + 1)
-              if (c := (-1) ** (m - q) * binomial(j + q - m + t - 1, m - q - 1))]
-        # the m = q boundary term matters: it feeds the diagonal x_{q,t} row
-        r2 = [(m, c) for m in range(max(q, m_lo), m_hi + 1)
-              if (c := (-1) ** (m - q) * binomial(j + q - m + t, m - q))]
-        r3 = [(m, c) for m in range(m_lo, m_hi + 1)
-              if (c := (-1) ** (m - j + 1) * binomial(2 * q - m + t, m - j))]
-        yield from ((t, l1, r1), (t, l2, r2), (t, [(q, 1)], r3))
+def _right_forms(j: int, q: int, t: int, top: bool) -> list[tuple[int, int, int, int]]:
+    """(m, R1, R2, R3) at t, a row for each m up to m_hi = q + (j+t)//2.
+
+    They pair with x_{m,r-t}, or at top (t = r+1) with the marker, which only
+    m = k = m_hi has: x_{k,-1}.  Below top the rows start at m = j, so m's row
+    is at index m - j.  R1 holds m > q and R2 m >= q; R3 holds all of j..m_hi.
+    """
+    m_hi = q + (j + t) // 2
+    return [(m,
+             (-1) ** (m - q) * binomial(j + q - m + t - 1, m - q - 1) if m > q else 0,
+             # the m = q boundary term matters: it feeds the diagonal x_{q,t} row
+             (-1) ** (m - q) * binomial(j + q - m + t, m - q) if m >= q else 0,
+             (-1) ** (m - j + 1) * binomial(2 * q - m + t, m - j))
+            for m in range(m_hi if top else j, m_hi + 1)]
 
 
-def _row(j: int, q: int, r: int, marker) -> DeformPolynomial:
-    """F_{j,q,r}, plus its t = r+1 term when marker is a partner from X_MODES."""
-    acc: dict = {}
-    for t, left, right in _row_forms(j, q, r, marker):
-        for l, cl in left:
+class _Forms(dict):
+    """The linear forms of one pass over rows, each block computed once.
+
+    forms[j, q] is _left_forms(j, q), and forms[j, q, t, top] is _right_forms(j,
+    q, t, top).  Neither depends on r, so the rows of a pass share them: at n = 30
+    they ask for 2,730 right blocks, 458 of them distinct.  A table lives as long
+    as its pass.
+    """
+
+    def __missing__(self, key):
+        forms = self[key] = _left_forms(*key) if len(key) == 2 else _right_forms(*key)
+        return forms
+
+
+def _row(j: int, q: int, r: int, marker, forms: _Forms | None = None) -> DeformPolynomial:
+    """F_{j,q,r}, plus its t = r+1 term when marker is a partner from X_MODES.
+
+    The pair terms come out in term order: by first variable x_{l,t}, then by
+    the second, x_{m,r-t}.  L1 and L2 hold l < q and R1, R2 hold m >= q, so
+    their products are x_{l,t} x_{m,r-t} as they stand.  x_{q,t} R3_t is too for
+    m >= q; for m < q it is x_{m,r-t} x_{q,t}, first variable x_{m,r-t}.
+    forms is the pass's table; a row built alone gets a table of its own.
+    """
+    forms = _Forms() if forms is None else forms
+    lefts = forms[j, q]
+    rights = [forms[j, q, t, False] for t in range(r + 1)]
+    iq = q - j  # the index of m = q's row in a block
+    # each block's rows above q beside their partner x_{m,r-t}, built once per row
+    above = [[((m, r - t), r1, r2, r3) for m, r1, r2, r3 in rights[t][iq + 1:]]
+             for t in range(r + 1)]
+    terms: list = []
+    add = terms.append
+    for l, c1, c2 in lefts:
+        for t in range(r + 1):
             a = (l, t)
-            for m, cm in right:
-                # a pair monomial is canonical once its two variables are in order
-                b = (m, r - t)
-                mono = (a,) + marker if t > r else (a, b) if a <= b else (b, a)
-                acc[mono] = acc.get(mono, 0) + cl * cm
+            # x_{l,t} x_{q,r-t}: from L2 R2_t, and from x_{q,r-t} R3_{r-t} at m = l
+            if c := c2 * rights[t][iq][2] + rights[r - t][l - j][3]:
+                add(((a, (q, r - t)), c))
+            if c1 or c2:
+                for b, r1, r2, _ in above[t]:
+                    if c := c1 * r1 + c2 * r2:
+                        add(((a, b), c))
+    for t in range(r + 1):
+        a = (q, t)
+        # x_{q,t} x_{q,r-t} has R3 at q from both t and r - t; it is written at t <= r - t
+        if t <= r - t and (c := rights[t][iq][3] + (rights[r - t][iq][3] if t < r - t else 0)):
+            add(((a, (q, r - t)), c))
+        for b, _, _, r3 in above[t]:
+            if r3:
+                add(((a, b), r3))
+    if marker is None:
+        return DeformPolynomial._of_terms(terms)
+    # the t = r+1 term: its one m pairs with the marker
+    acc = dict(terms)
+    for _, r1, r2, r3 in forms[j, q, r + 1, True]:
+        for l, c1, c2 in lefts:
+            acc[((l, r + 1),) + marker] = c1 * r1 + c2 * r2
+        acc[((q, r + 1),) + marker] = r3
     return DeformPolynomial._frozen(acc)
 
 
@@ -90,8 +136,8 @@ def f_poly(j: int, q: int, r: int) -> DeformPolynomial:
 def g_poly(j: int, q: int, r: int) -> DeformPolynomial:
     """Linear correction (-1)^j (L1 + L2)(r+1) - (-1)^q x_{q,r+1} of the top rows."""
     _check_label(j, q, r, -1)
-    l1, l2 = _left_forms(j, q)
-    terms = [(l, (-1) ** j * c) for l, c in l1 + l2] + [(q, (-1) ** (q + 1))]
+    terms = [(l, (-1) ** j * (l1 + l2)) for l, l1, l2 in _left_forms(j, q)]
+    terms.append((q, (-1) ** (q + 1)))
     return DeformPolynomial((((l, r + 1),), c) for l, c in terms)
 
 
@@ -182,8 +228,9 @@ class EquationSystem:
             raise ValueError(f"{self.kind} lacks row {rows[count][0]}")
 
     def _unchecked(self) -> Iterator[Equation]:
+        forms, partner = _Forms(), X_MODES[self.x_mode]
         for (j, q, r), tilde in self.rows:
-            yield Equation((j, q, r), _row(j, q, r, X_MODES[self.x_mode] if tilde else None), tilde)
+            yield Equation((j, q, r), _row(j, q, r, partner if tilde else None, forms), tilde)
 
     def held(self) -> EquationSystem:
         """This system holding all its rows; the constructor checks each one once."""
@@ -232,13 +279,24 @@ def residuals(n, assignment) -> list[tuple[tuple[int, int, int], Fraction]]:
     n is the size or that system's head, EquationSystem(n)."""
     head = n if isinstance(n, EquationSystem) else EquationSystem(n)  # refuses n < 9
     denom, numerators = clear_denominators(assignment)
-    get, top = numerators.get, numerators.get(TOP, 0)
-    out = []
+    get, marker = numerators.get, numerators.get(TOP, 0)
+    forms, out = _Forms(), []
     for (j, q, r), tilde in head.rows:
+        lefts = forms[j, q]
         total = 0
-        for t, left, right in _row_forms(j, q, r, X_MODES["free"] if tilde else None):
-            if a := sum(c * get((l, t), 0) for l, c in left):
-                total += a * sum(c * (top if t > r else get((m, r - t), 0)) for m, c in right)
+        for t in range(r + 2 if tilde else r + 1):
+            # L1, L2 and x_{q,t} at p; the right forms are read only where one is nonzero
+            a1 = a2 = 0
+            for l, c1, c2 in lefts:
+                if x := get((l, t)):
+                    a1 += c1 * x
+                    a2 += c2 * x
+            a3 = get((q, t), 0)
+            if a1 or a2 or a3:
+                top = t > r
+                for m, r1, r2, r3 in forms[j, q, t, top]:
+                    if x := (marker if top else get((m, r - t))):
+                        total += (a1 * r1 + a2 * r2 + a3 * r3) * x
         out.append(((j, q, r), Fraction(total, denom * denom)))
     return out
 

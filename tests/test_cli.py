@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -149,6 +150,28 @@ def test_gen_streams_the_truncated_reference_bytes(capsys, total_max):
         assert run(capsys, *argv) == (0, reference(system), ""), fmt
 
 
+# sha256 of gen's output, byte-identical for fixed arguments.  The reference
+# tests above read the same terms as the writer, so only a digest sees a
+# change in the order of the terms.
+GEN_DIGESTS = {
+    "--dim 24 --format text": "0fc17ae6ecc08ac8c9344a05df85facdb0c7813b1d65cad719e43a21757f5256",
+    "--dim 24 --format cas": "42fbd3de204fc159f8213e51943f42b144283de2ea848c5bbaae59a04666b4d5",
+    "--dim 24 --x 1 --format json":
+        "bd84e7aeef51d0e046cb0fc0d59e00e94626a7c9e9fccad2a59e8190a481f389",
+    "--dim 24 --x 0 --format json":
+        "d04fe7e4b2c1f6310e5390547e6e8bd7510380f99380cba35d8782dcf56e4849",
+    "--truncate 24 --format json":
+        "1477ba6a79abe3ae82b01bce833220e4bd11407eb33851bbde17a2cff773f7ec",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GEN_DIGESTS))
+def test_gen_output_digest(capsys, args):
+    code, out, err = run(capsys, "gen", *args.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GEN_DIGESTS[args]
+
+
 GEN_CASES = [("--dim", "12", "--x", "1"), ("--dim", "13"), ("--truncate", "14")]
 
 
@@ -208,10 +231,10 @@ def test_gen_refuses_a_row_with_an_undeclared_variable(capsys, monkeypatch, tmp_
     reference = REFERENCES[fmt](system_finite(12))
     row = systems._row
 
-    def stray(j, q, r, marker):
+    def stray(j, q, r, marker, *forms):
         if (j, q, r) == (2, 4, 0):
             return DeformPolynomial([(((2, 0), (40, 0)), 1)])
-        return row(j, q, r, marker)
+        return row(j, q, r, marker, *forms)
 
     monkeypatch.setattr(systems, "_row", stray)
     code, out, err = run(capsys, "gen", "--dim", "12", "--format", fmt)

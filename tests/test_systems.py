@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filiform import systems
 from filiform.combinatorics import partitions_exact
-from filiform.oracle import evaluate_system, known_solution
+from filiform.oracle import (conclusive_inventory, deformed_structure, evaluate_system,
+                             known_solution, oracle_coefficient)
 from filiform.polynomials import TOP, DeformPolynomial
-from filiform.systems import (Equation, EquationSystem,
+from filiform.systems import (X_MODES, Equation, EquationSystem,
                               closed_form_counts, declared_variables, dims_report,
                               f_poly, g_poly, residuals, system_finite,
                               system_truncated, variable_inventory)
@@ -380,3 +382,66 @@ def test_residuals_at_the_empty_assignment():
         got = residuals(n, {})
         assert got == evaluate_system(_finite(n), {})
         assert len(got) == len(_finite(n)) and all(value == 0 for _, value in got)
+
+
+@pytest.mark.parametrize("n", range(9, 26))
+def test_residuals_read_the_right_forms_where_a_left_form_is_set(n):
+    # residuals reads a right form only where its left form is nonzero at the
+    # point: points set only at t = 0 (like L1), only at t > 0, only at l >= 4
+    # (zero L1 and L2 beside a nonzero x_{q,t} when j + q < 8), and with the
+    # marker each leave other left forms zero
+    rng = random.Random(n)
+
+    def draw(keep):
+        return {(l, t): Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12))
+                for l, t in variable_inventory(n) if keep(l, t)}
+
+    points = [draw(lambda l, t: t == 0), draw(lambda l, t: t > 0), draw(lambda l, t: l >= 4)]
+    if n % 2 == 0:
+        points += [{**draw(lambda l, t: t == 0), TOP: Fraction(5, 2)},
+                   {**draw(lambda l, t: True), TOP: Fraction(-3, 4)}]
+    for index, point in enumerate(points):
+        got = residuals(n, point)
+        assert got == evaluate_system(_finite(n), point)
+        # not 0 == 0, except that below n = 11 no product is set at t > 0 or l >= 4 alone
+        assert any(value for _, value in got) or (index in (1, 2) and n < 11)
+
+
+@pytest.mark.parametrize("partner", [None, X_MODES["free"], X_MODES["fixed-1"]],
+                         ids=["no-marker", "x-free", "x-1"])
+def test_rows_are_built_in_term_order(partner):
+    # gen writes the terms as _row leaves them, so they must be in the order that
+    # _frozen's keyed sort gives.  A row depends on its label and partner alone:
+    # these are the rows of every system at n = 9..41, in every x_mode, and of
+    # every truncated one at 9..30, each built once, from one table
+    rows = dict.fromkeys(
+        [(label, X_MODES[x_mode] if tilde else None)
+         for n in range(9, 42) for x_mode in X_MODES
+         for label, tilde in systems._system_rows(n, n % 2 == 0)]
+        + [(label, None) for n in range(9, 31) for label, _ in systems._system_rows(n, False)])
+    forms = systems._Forms()
+    built = 0
+    for (j, q, r), marker in rows:
+        if marker == partner:
+            row = systems._row(j, q, r, marker, forms)
+            assert row.terms == DeformPolynomial._frozen(dict(row.terms)).terms, (j, q, r)
+            built += 1
+    assert built > (1000 if partner is None else 200)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: f_poly(2, 3, True), lambda: g_poly(2, 3.0, 0),
+    lambda: oracle_coefficient(2, 3, True), lambda: EquationSystem(9.5),
+    lambda: EquationSystem(12.0, "fixed-0", truncated=True), lambda: EquationSystem(True),
+    lambda: system_finite(10.0), lambda: residuals(10.0, {}), lambda: dims_report(10.0),
+    lambda: closed_form_counts(11.0), lambda: conclusive_inventory(2, 3, 0.0),
+    lambda: conclusive_inventory(2.0, 3, 0), lambda: deformed_structure({(2, 0): 1}, 12.0),
+], ids=["f_poly-bool-r", "g_poly-float-q", "oracle_coefficient-bool-r", "system-float-size",
+        "truncated-float-size", "system-bool-size", "system_finite-float", "residuals-float",
+        "dims_report-float", "closed_form_counts-float", "inventory-float-r",
+        "inventory-float-j", "deformed_structure-float-n"])
+def test_entry_points_refuse_non_int_labels_and_sizes(call):
+    # f_poly(2, 3, True) and oracle_coefficient(2, 3, True) used to return
+    # F_{2,3,1}; a float size raised TypeError from deep inside
+    with pytest.raises(ValueError, match="must be ints"):
+        call()
