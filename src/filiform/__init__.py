@@ -14,8 +14,8 @@ _HOMES = {
     "combinatorics": ("binomial", "partitions_exact"),
     "forms": ("ExtForm", "d1", "d_trivial", "dminus1", "omega", "wedge"),
     "lie": ("LieElement", "LieStructure", "make_fixture"),
-    "oracle": ("InconclusiveInventoryError", "conclusive_inventory", "deformed_structure",
-               "evaluate_system", "jacobi_scan", "known_solution", "oracle_coefficient"),
+    "oracle": ("conclusive_inventory", "deformed_structure", "evaluate_system", "jacobi_scan",
+               "known_solution", "oracle_coefficient"),
     "polynomials": ("TOP", "DeformPolynomial"),
     "systems": ("EquationSystem", "dims_report", "f_poly", "g_poly", "system_finite",
                 "system_truncated"),

@@ -104,9 +104,9 @@ def cmd_verify_oracle(args) -> int:
         system = systems.EquationSystem(args.dim)
     diffs = []
     for eq in system:
-        # truncated rows are never tilde, so they get the marker-free inventory
-        inventory = oracle.conclusive_inventory(*eq.label, with_top=eq.tilde)
-        mine = oracle.oracle_coefficient(*eq.label, inventory)
+        # the oracle expands over conclusive_inventory of the label, with the
+        # marker on top rows only; truncated rows are never tilde
+        mine = oracle.oracle_coefficient(*eq.label, with_top=eq.tilde)
         if mine != eq.poly:
             diffs.append((eq, mine))
     lines = [f"# {system.system_id}: {len(system)} labels compared, {len(diffs)} diffs"]

@@ -15,19 +15,8 @@ from typing import Mapping
 
 from .cochains import psi2_value
 from .lie import LieElement, LieStructure, _chain_relations
-from .polynomials import (TOP, DeformPolynomial, Variable, check_variable,
-                          clear_denominators, var_key, var_weight)
+from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators, var_weight
 from .sparse import exact, require_ints
-
-
-class InconclusiveInventoryError(ValueError):
-    """The supplied inventory cannot decide the requested coefficient."""
-
-    def __init__(self, label: tuple[int, int, int], missing):
-        self.label = label
-        self.missing = tuple(missing)
-        super().__init__(
-            f"inventory too small for label {label}: missing {self.missing}")
 
 
 def _label_total(j: int, q: int, r: int, with_top: bool) -> int:
@@ -74,46 +63,27 @@ def _pair_value(v: Variable, a: int, b: int, n: int) -> tuple[int, int] | None:
     return None if value is None else (value[0], -value[1])
 
 
-def oracle_coefficient(j: int, q: int, r: int,
-                       inventory=None) -> DeformPolynomial:
+def oracle_coefficient(j: int, q: int, r: int, *, with_top: bool = False) -> DeformPolynomial:
     """Coefficient of e_{j+2q+1+r} in the half-square of the symbolic sum.
 
     Evaluates psi(psi(e_j,e_q),e_{q+1}) plus cyclic terms with psi running
-    over the inventory, all coefficients symbolic.  A missing-but-needed
-    variable raises rather than silently truncating the answer, and an
-    entry that is no deformation variable raises ValueError.
+    over conclusive_inventory(j, q, r, with_top), all coefficients symbolic:
+    the pairs that can reach e_{j+2q+1+r}, and the marker x on a top row.
     """
-    if inventory is None:
-        inventory = conclusive_inventory(j, q, r, with_top=(r == -1))
-    inv = list(dict.fromkeys(check_variable(v) for v in inventory))
-    with_top = TOP in inv
-    w = _label_total(j, q, r, with_top)
-    # conclusive means: every cross-weight class reachable from a declared
-    # variable is fully declared, so no declared variable has a half-built
-    # row.  An empty inventory is vacuously conclusive (the answer is 0).
-    pairs = {v for v in inv if v != TOP}
-    partner_weights = {r - t for _, t in pairs if r - t >= 0}
-    if with_top:
-        partner_weights.add(r + 1)
-    needed = {(m, u) for u in partner_weights
-              for m in range(2, (w - 1 - u) // 2 + 1)}
-    missing = sorted(needed - pairs, key=var_key)
-    if missing:
-        raise InconclusiveInventoryError((j, q, r), missing)
-    # pairs above the target index cannot reach e_w: skip, do not truncate
-    usable = [v for v in inv if v == TOP or 2 * v[0] + 1 + v[1] <= w]
+    inv = conclusive_inventory(j, q, r, with_top)
+    w = j + 2 * q + 1 + r
     # Psi_{l,t} sends (e_idx, e_c) to e_{idx+c+t}: only weight w-idx-c can land
     by_weight: dict[int, list] = {}
-    for v in usable:
+    for v in inv:
         by_weight.setdefault(var_weight(v), []).append(v)
-    # a monomial's variables in var_key order, the order DeformPolynomial keeps
-    rank = {v: i for i, v in enumerate(sorted(usable, key=var_key))}
+    # inv is in var_key order, the order DeformPolynomial keeps a monomial's variables
+    rank = {v: i for i, v in enumerate(inv)}
 
     acc: dict = {}
     for a, b, c in ((j, q, q + 1), (q, q + 1, j), (q + 1, j, q)):
         # inner[idx]: the linear form psi(e_a, e_b) at e_idx, as (u, coeff) pairs
         inner: dict[int, list] = {}
-        for u in usable:
+        for u in inv:
             value = _pair_value(u, a, b, w)
             if value is not None:
                 inner.setdefault(value[0], []).append((u, value[1]))

@@ -51,6 +51,13 @@ def _json_field(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _json_keys(obj: dict, keys, where: str) -> None:
+    # a key that nothing reads, a misspelt one among them, would be dropped silently
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{where} has unknown key {key!r}")
+
+
 def _variable_from_json(item):
     if item == "x":
         return TOP
@@ -70,7 +77,8 @@ def _monomials_from_json(items) -> DeformPolynomial:
     terms = []
     for item in _json_shape(items, list, "monomials"):
         mono = []
-        runs = _json_field(_json_shape(item, dict, "a monomial"), "vars", "a monomial")
+        _json_keys(_json_shape(item, dict, "a monomial"), ("coeff", "vars"), "a monomial")
+        runs = _json_field(item, "vars", "a monomial")
         for packed in _json_shape(runs, list, "monomial vars"):
             where = f"bad monomial run {packed!r}: runs"
             *var, power = _json_shape(packed, list, where)
@@ -172,8 +180,9 @@ def write_system_json(system: EquationSystem, write) -> None:
 def parse_system_doc(doc) -> EquationSystem:
     where = "a system document"
     kind = _json_field(_json_shape(doc, dict, where), "kind", where)
-    size = _json_int(_json_field(doc, "total_max" if kind == "truncated" else "n", where),
-                     "system sizes")
+    size_key = "total_max" if kind == "truncated" else "n"
+    _json_keys(doc, ("kind", size_key, "x_mode", "variables", "equations"), where)
+    size = _json_int(_json_field(doc, size_key, where), "system sizes")
     declared = _json_shape(_json_field(doc, "variables", where), list, "variables")
     variables = tuple(_variable_from_json(v) for v in declared)
     x_mode = _json_field(doc, "x_mode", where)
@@ -189,6 +198,7 @@ def parse_system_doc(doc) -> EquationSystem:
         if type(raw) is not list or len(raw) != 3:
             raise ValueError(f"bad equation label {raw!r}: labels need three entries")
         label = tuple(_json_int(c, f"bad equation label {raw!r}: labels") for c in raw)
+        _json_keys(item, ("label", "tilde", "monomials"), f"equation {label}")
         tilde = _json_field(item, "tilde", f"equation {label}")
         if type(tilde) is not bool:
             raise ValueError(f"bad equation {label}: tilde must be a JSON boolean")
@@ -252,16 +262,19 @@ def assignment_doc(assignment) -> dict:
 
 def parse_assignment(doc) -> dict:
     """Assignment file body -> variable map with exact rational values."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+    if type(doc) is not dict or type(doc.get("entries")) is not list:
         raise ValueError("assignment file must be an object with an 'entries' list")
+    _json_keys(doc, ("entries", "x"), "an assignment file")
     out = {}
     for item in doc["entries"]:
+        where = f"bad assignment entry {item!r}"
+        _json_keys(_json_shape(item, dict, where), ("j", "s", "value"), where)
+        j, s = (_json_int(_json_field(item, c, where), f"{where}: j and s") for c in "js")
+        raw = _json_field(item, "value", where)
         try:
-            j, s = item["j"], item["s"]
-            value = exact(item["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad assignment entry {item!r}: {exc}") from None
-        j, s = (_json_int(c, f"bad assignment entry {item!r}: j and s") for c in (j, s))
+            value = exact(raw)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         check_variable((j, s))
         if (j, s) in out:
             raise ValueError(f"duplicate entry for ({j},{s})")

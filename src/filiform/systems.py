@@ -274,12 +274,14 @@ def system_finite(n: int, x_mode: str = "free") -> EquationSystem:
 
 
 def residuals(n, assignment) -> list[tuple[tuple[int, int, int], Fraction]]:
-    """Residuals of system_finite(n, "free") at assignment, as oracle.evaluate_system
-    gives them, from the rows' forms: one Fraction per row, no polynomial built.
-    n is the size or that system's head, EquationSystem(n)."""
+    """Residuals of a system at assignment, as oracle.evaluate_system gives them,
+    from the rows' forms: one Fraction per row, no polynomial built.  n is a
+    system's head, or a size that stands for system_finite(n, "free")."""
     head = n if isinstance(n, EquationSystem) else EquationSystem(n)  # refuses n < 9
     denom, numerators = clear_denominators(assignment)
-    get, marker = numerators.get, numerators.get(TOP, 0)
+    get = numerators.get
+    # the marker's numerator over denom: the point's x, x = 1 or x = 0
+    marker = {"free": get(TOP, 0), "fixed-1": denom, "fixed-0": 0}[head.x_mode]
     forms, out = _Forms(), []
     for (j, q, r), tilde in head.rows:
         lefts = forms[j, q]

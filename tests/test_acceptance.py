@@ -20,9 +20,8 @@ from filiform.cochains import d_adjoint, psi2, psi3
 from filiform.combinatorics import partitions_exact
 from filiform.forms import ExtForm, d1, d_trivial, dminus1, omega, wedge
 from filiform.lie import LieElement, make_fixture
-from filiform.oracle import (conclusive_inventory, deformed_structure,
-                             first_violation, jacobi_scan, known_solution,
-                             oracle_coefficient)
+from filiform.oracle import (deformed_structure, first_violation, jacobi_scan,
+                             known_solution, oracle_coefficient)
 from filiform.polynomials import TOP, DeformPolynomial as P
 from filiform.serialize import parse_system_doc
 from filiform.systems import (closed_form_counts, dims_report, f_poly,
@@ -82,8 +81,7 @@ def test_criterion_03_oracle_agrees_with_closed_forms():
                 if not eq.tilde:
                     continue
                 j, q, r = eq.label
-                inv = conclusive_inventory(j, q, r, with_top=True)
-                assert oracle_coefficient(j, q, r, inv) == eq.poly, (n, eq.label)
+                assert oracle_coefficient(j, q, r, with_top=True) == eq.poly, (n, eq.label)
 
 
 def test_criterion_04_known_families_solve_every_system():
@@ -239,8 +237,7 @@ def test_criterion_07_twelve_dimensional_system(tmp_path):
         # every generated row is oracle-certified
         for eq in system:
             j, q, r = eq.label
-            inv = conclusive_inventory(j, q, r, with_top=eq.tilde)
-            assert oracle_coefficient(j, q, r, inv) == eq.poly, eq.label
+            assert oracle_coefficient(j, q, r, with_top=eq.tilde) == eq.poly, eq.label
         text = LEDGER.read_text(encoding="utf-8")
         for marker in ("F_{2,3,2}", "F~_{2,3,3}", "F_{2,4,0}", "F~_{3,4,0}"):
             assert marker in text, marker

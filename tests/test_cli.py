@@ -391,6 +391,18 @@ def test_check_refuses_a_zero_denominator(capsys, tmp_path, doc, message):
     assert message in err and "zero denominator" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"entries": [], "X": "1"}, "X"),
+    ({"entries": [{"j": 2, "s": 0, "vlaue": "1"}]}, "vlaue"),
+], ids=["document", "entry"])
+def test_check_refuses_unknown_assignment_keys(capsys, tmp_path, doc, key):
+    src = tmp_path / "assign.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--dim", "12", "--assign", str(src))
+    assert code == 2 and out == ""
+    assert f"unknown key '{key}'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("entries", [5, None])
 def test_check_refuses_non_list_entries(capsys, tmp_path, entries):
     src = tmp_path / "assign.json"

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import filiform.oracle as oracle
 from filiform.cochains import psi2_value
 from filiform.lie import LieElement, make_fixture
-from filiform.oracle import (InconclusiveInventoryError, conclusive_inventory,
-                             deformed_structure, evaluate_system,
+from filiform.oracle import (conclusive_inventory, deformed_structure, evaluate_system,
                              first_violation, jacobi_scan, known_solution,
                              oracle_coefficient)
 from filiform.polynomials import TOP, DeformPolynomial
@@ -56,32 +55,10 @@ class TestOracleCoefficient:
                                                + T(3, (3, 0), (3, 0))
                                                + T(-1, (3, 0), (4, 0)))
 
-    def test_empty_inventory_is_zero(self):
-        assert oracle_coefficient(2, 3, 0, inventory=[]).is_zero
-
-    def test_half_built_row_raises(self):
-        with pytest.raises(InconclusiveInventoryError) as info:
-            oracle_coefficient(2, 3, 1, inventory=[(2, 0), (3, 0), (4, 0)])
-        assert info.value.label == (2, 3, 1)
-        assert info.value.missing == ((2, 1), (3, 1), (4, 1))
-
-    def test_irrelevant_extras_are_inert(self):
-        base = oracle_coefficient(2, 3, 0)
-        padded = oracle_coefficient(2, 3, 0,
-                                    inventory=[(2, 0), (3, 0), (4, 0), (9, 0)])
-        assert padded == base
-
-    @pytest.mark.parametrize("inventory", [
-        [(2, 0), (3, 0), (4, 0), (9, 0.5)],
-        [(2, 0), (3, 0), (4, 0), (9, True)],
-        [(2, 0), (3, 0), (4, 0), (2, -1)],
-        [(2, 0), (3, 0), (4, 0), "y"],
-        [(2, 0), (3, 0), (4, 0.0)],
-    ], ids=["float-weight", "bool-weight", "negative-weight", "string", "float-zero"])
-    def test_malformed_inventory_entry_is_refused(self, inventory):
-        # the first two were taken silently, the last three reported wrongly
-        with pytest.raises(ValueError, match="not a deformation variable"):
-            oracle_coefficient(2, 3, 0, inventory=inventory)
+    def test_a_fourth_positional_argument_is_refused(self):
+        # a leftover positional inventory would read as a truthy with_top
+        with pytest.raises(TypeError):
+            oracle_coefficient(2, 3, 0, [(2, 0), (3, 0), (4, 0)])
 
     def test_l1_point_annihilates(self):
         poly = oracle_coefficient(2, 3, 0)
@@ -92,8 +69,8 @@ class TestOracleCoefficient:
             oracle_coefficient(3, 3, 0)
         with pytest.raises(ValueError):
             oracle_coefficient(2, 3, -2)
-        with pytest.raises(ValueError):
-            oracle_coefficient(2, 5, -1, inventory=[(2, 0), (3, 0), (4, 0), (5, 0)])
+        with pytest.raises(ValueError, match="r = -1"):
+            oracle_coefficient(2, 5, -1)  # r = -1 without the marker
 
     @pytest.mark.parametrize("label", [(2, 3, 2), (3, 4, 1), (2, 5, 4),
                                        (4, 5, 2), (2, 4, 0)])
@@ -139,8 +116,7 @@ class TestOracleCoefficient:
             if not eq.tilde:
                 continue
             j, q, r = eq.label
-            inventory = conclusive_inventory(j, q, r, with_top=True)
-            assert oracle_coefficient(j, q, r, inventory) == eq.poly, eq.label
+            assert oracle_coefficient(j, q, r, with_top=True) == eq.poly, eq.label
 
 
 def test_psi2_value_lands_on_k_plus_m_plus_s():

@@ -417,6 +417,34 @@ def test_parse_assignment_needs_an_entries_list(entries):
         parse_assignment({"entries": entries})
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"entries": [], "X": "1"}, "X"),
+    ({"entries": [{"j": 2, "s": 0, "value": "1"}], "x": "1", "y": "2"}, "y"),
+    ({"entries": [{"j": 2, "s": 0, "vlaue": "1"}]}, "vlaue"),
+    ({"entries": [{"j": 2, "s": 0, "value": "1", "t": 0}]}, "t"),
+], ids=["marker-misspelt", "document", "value-misspelt", "entry"])
+def test_parse_assignment_refuses_unknown_keys(doc, key):
+    # each key used to be dropped: a misspelt marker read the point without x
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        parse_assignment(doc)
+
+
+@pytest.mark.parametrize("system, edit, key", [
+    (system_finite(12, "free"), lambda d: d.update(comment="hand-made"), "comment"),
+    (system_finite(12, "free"), lambda d: d.update(total_max=12), "total_max"),
+    (system_truncated(12), lambda d: d.update(n=12), "n"),
+    (system_finite(12, "free"), lambda d: d["equations"][0].update(weight=9), "weight"),
+    (system_finite(12, "free"), lambda d: d["equations"][3]["monomials"][1].update(coef="2"),
+     "coef"),
+], ids=["document", "finite-total_max", "truncated-n", "equation", "monomial"])
+def test_parse_system_doc_refuses_unknown_keys(system, edit, key):
+    # each key used to be ignored
+    doc = _doc(system)
+    edit(doc)
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        parse_system_doc(doc)
+
+
 def test_report_verdicts():
     system = system_finite(9)
     good = {(2, 0): Fraction(1)}

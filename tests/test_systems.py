@@ -377,6 +377,19 @@ def test_residuals_at_the_known_families(n):
             assert residuals(n, marked) == evaluate_system(system, marked)
 
 
+@pytest.mark.parametrize("x_mode", sorted(X_MODES))
+@pytest.mark.parametrize("n", range(10, 21, 2))
+def test_residuals_follow_the_marker_mode_of_the_head(n, x_mode):
+    # residuals used to read x from the point at every head: at a fixed-1 or
+    # fixed-0 head, a point holding x gave wrong residuals on the top rows
+    rng = random.Random(n)
+    point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for v in variable_inventory(n)}
+    head = EquationSystem(n, x_mode)
+    for x in (None, Fraction(5, 2), Fraction(-3, 4)):
+        at = point if x is None else {**point, TOP: x}
+        assert residuals(head, at) == evaluate_system(_finite(n, x_mode), at), x
+
+
 def test_residuals_at_the_empty_assignment():
     for n in (9, 10, 17, 24):
         got = residuals(n, {})
