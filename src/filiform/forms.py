@@ -70,12 +70,6 @@ class ExtForm(SparseCombination):
     def monomials(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         return iter(self.terms)
 
-    def degrees(self) -> set[int]:
-        return {len(m) for m, _ in self.terms}
-
-    def weights(self) -> set[int]:
-        return {sum(m) for m, _ in self.terms}
-
     def scaled(self, factor) -> "ExtForm":
         return self._sum(((exact(factor), self),))
 

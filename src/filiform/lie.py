@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .sparse import SparseCombination, exact
+from .sparse import SparseCombination, exact, require_ints
 
 
 class LieElement(SparseCombination):
@@ -33,9 +33,6 @@ class LieElement(SparseCombination):
     def coefficient(self, index: int) -> Fraction:
         return self._coefficient(index, Fraction(0))
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.terms)
-
     def scaled(self, factor) -> "LieElement":
         return self._sum(((exact(factor), self),))
 
@@ -52,7 +49,7 @@ class LieElement(SparseCombination):
         return self._render(lambda i: f"e{i}")
 
 
-ZERO = LieElement.zero()
+ZERO = LieElement()
 
 
 class LieStructure:
@@ -60,6 +57,7 @@ class LieStructure:
 
     def __init__(self, dim: int, relations: Mapping[tuple[int, int], LieElement],
                  name: str = ""):
+        require_ints(dim=dim)
         if dim < 1:
             raise ValueError("dimension cutoff must be >= 1")
         table: dict[tuple[int, int], LieElement] = {}
@@ -188,6 +186,7 @@ def make_fixture(name: str, n: int, k: int | None = None, s: int | None = None,
     lacuna-of (needs gap s and base in m0/m2/L1).  A parameter the name
     does not take is refused, not ignored.
     """
+    require_ints(n=n)
     if n < 2:
         raise ValueError("fixture needs n >= 2")
     if name not in _FIXTURES:
@@ -200,4 +199,5 @@ def make_fixture(name: str, n: int, k: int | None = None, s: int | None = None,
     missing = [param for param in takes if given[param] is None]
     if missing:
         raise ValueError(f"{name} needs parameter {' and '.join(missing)}")
+    require_ints(**{param: given[param] for param in takes if param != "base"})
     return build(n, *(given[param] for param in takes))

@@ -104,10 +104,6 @@ class DeformPolynomial(SparseCombination):
         return _canonical_monomial(mono), coeff.numerator
 
     @classmethod
-    def variable(cls, v: Variable) -> "DeformPolynomial":
-        return cls((((v,), 1),))
-
-    @classmethod
     def term(cls, coeff: int, *variables: Variable) -> "DeformPolynomial":
         return cls(((tuple(variables), coeff),))
 
@@ -116,9 +112,6 @@ class DeformPolynomial(SparseCombination):
 
     def variables(self) -> set[Variable]:
         return {v for m, _ in self.terms for v in m}
-
-    def degree(self) -> int:
-        return max((len(m) for m, _ in self.terms), default=0)
 
     def __mul__(self, other):
         if type(other) is int:  # a bool is no factor, and a Fraction would leave the integers
@@ -156,21 +149,9 @@ class DeformPolynomial(SparseCombination):
         return DeformPolynomial((m, c) for m, c in self.terms
                                 if all(v in keep for v in m))
 
-    def substitute_top(self, value: int) -> "DeformPolynomial":
-        """Replace the marker x by a constant (0 or 1 in practice)."""
-        out = []
-        for mono, coeff in self.terms:
-            rest = tuple(v for v in mono if v != TOP)
-            count = len(mono) - len(rest)
-            out.append((rest, coeff * value ** count))
-        return DeformPolynomial(out)
-
-    def monomial_weight(self, mono: Monomial) -> int:
-        return sum(var_weight(v) for v in mono)
-
     def is_bihomogeneous(self, degree: int, weight: int) -> bool:
         """Every monomial has the stated total degree and weight sum."""
-        return all(len(m) == degree and self.monomial_weight(m) == weight
+        return all(len(m) == degree and sum(var_weight(v) for v in m) == weight
                    for m, _ in self.terms)
 
     def scaled_substitution(self, alpha: Fraction, beta: Fraction,

@@ -82,10 +82,6 @@ class SparseCombination:
                 acc[key] = get(key, 0) + factor * coeff
         return cls._frozen(acc)
 
-    @classmethod
-    def zero(cls):
-        return cls._frozen({})
-
     def _coefficient(self, key, default=0):
         """Coefficient of a canonical key; default if it has no term."""
         for k, c in self.terms:

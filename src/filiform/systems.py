@@ -146,11 +146,6 @@ class Equation(NamedTuple):
     poly: DeformPolynomial
     tilde: bool
 
-    @property
-    def weight(self) -> int:
-        j, q, r = self.label
-        return j + 2 * q + 1 + r
-
 
 def variable_inventory(n: int) -> list[tuple[int, int]]:
     """All pairs (j, s) with 2j+1+s <= n, in canonical order."""
@@ -244,12 +239,6 @@ class EquationSystem:
 
     def labels(self) -> list[tuple[int, int, int]]:
         return [label for label, _ in self.rows]
-
-    def equation(self, label: tuple[int, int, int]) -> Equation:
-        for eq in self:
-            if eq.label == tuple(label):
-                return eq
-        raise KeyError(f"no equation labeled {label}")
 
     def __iter__(self) -> Iterator[Equation]:
         if self.equations is None:

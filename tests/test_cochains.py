@@ -127,7 +127,7 @@ def test_d_adjoint_simple_cochain():
     m0 = make_fixture("m0", 6)
 
     def rule(tup):
-        return e(5) if tup == (2,) else LieElement.zero()
+        return e(5) if tup == (2,) else LieElement()
 
     c = AdjointCochain(1, 6, rule)
     dc = d_adjoint(c, m0)
@@ -140,7 +140,7 @@ def test_d_adjoint_simple_cochain():
 @pytest.mark.parametrize("dim", [6, 9])
 def test_d_adjoint_refuses_a_value_above_the_base(dim):
     # a rule whose value has no basis vector in the base is malformed input
-    c = AdjointCochain(1, 6, lambda tup: e(dim + 1) if tup == (2,) else LieElement.zero())
+    c = AdjointCochain(1, 6, lambda tup: e(dim + 1) if tup == (2,) else LieElement())
     dc = d_adjoint(c, make_fixture("m0", dim))
     with pytest.raises(ValueError, match="out of range"):
         dc.value(1, 2)
@@ -148,7 +148,7 @@ def test_d_adjoint_refuses_a_value_above_the_base(dim):
 
 def _first_slot(f, vector, *rest):
     # f(vector, *rest) by linearity in the first slot, built from f.value
-    out = LieElement.zero()
+    out = LieElement()
     for idx, coeff in vector.terms:
         out += coeff * f.value(idx, *rest)
     return out
@@ -171,7 +171,7 @@ def _random_table(degree, n, seed):
                 indices.append(1)
             table[tup] = LieElement((i, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
                                     for i in indices)
-    return AdjointCochain(degree, n, lambda tup: table.get(tup, LieElement.zero()),
+    return AdjointCochain(degree, n, lambda tup: table.get(tup, LieElement()),
                           label=f"random{degree}")
 
 
@@ -225,7 +225,7 @@ def test_d_adjoint_equals_the_differential_formula(name, cochain, extra):
     dc = d_adjoint(cochain, base)
     nonzero = 0
     for tup in combinations(range(1, n + 1), cochain.degree + 1):
-        expected = LieElement.zero()
+        expected = LieElement()
         for p, idx in enumerate(tup):
             rest = tup[:p] + tup[p + 1:]
             expected += (-1) ** p * base.bracket(e(idx), cochain.value(*rest))

@@ -66,6 +66,16 @@ def test_partitions_rejects_negative_q():
         partitions_exact(-1, 3)
 
 
+@pytest.mark.parametrize("q, k", [(2.0, 5), (True, 1), (2, 5.5), (3, True)],
+                         ids=["float-q", "bool-q", "float-k", "bool-k"])
+def test_partitions_refuse_values_that_are_not_ints(q, k):
+    # (2.0, 5) was 2, (True, 1) was 1 and (2, 5.5) was 0; the int entry is
+    # cached first, so that a cache keyed by value alone would answer for it
+    partitions_exact(int(q), int(k))
+    with pytest.raises(ValueError, match="must be ints"):
+        partitions_exact(q, k)
+
+
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 def test_partitions_against_enumeration(q):
     for k in range(0, 19):

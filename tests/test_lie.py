@@ -24,7 +24,7 @@ class TestLieElement:
         assert v.terms == ((5, Fraction(2)),)
         assert v.coefficient(3) == 0
         assert v.coefficient(5) == 2
-        assert v.support() == (5,)
+        assert tuple(i for i, _ in v.terms) == (5,)
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
@@ -169,15 +169,32 @@ def test_unknown_fixture_name():
         make_fixture("m3x", 10)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: LieStructure(4.0, {}),
+    lambda: LieStructure(True, {}),
+    lambda: make_fixture("m1", 10.0),
+    lambda: make_fixture("m0", True),
+    lambda: make_fixture("Lk", 9, k=True),
+    lambda: make_fixture("mk", 12, k=3.0),
+    lambda: make_fixture("lacuna-of", 10, s=True, base="m0"),
+    lambda: make_fixture("lacuna-of", 12, s=2.0, base="L1"),
+], ids=["structure-float", "structure-bool", "fixture-float", "fixture-bool", "Lk-bool-k",
+        "mk-float-k", "lacuna-bool-s", "lacuna-float-s"])
+def test_sizes_and_fixture_parameters_are_ints(call):
+    # LieStructure(4.0, {}) was taken, k=True built LTrue(9) and a float n raised TypeError
+    with pytest.raises(ValueError, match="must be ints"):
+        call()
+
+
 def test_fixture_gradings():
     # chain-type fixtures are graded by the index; m1 adds weight -1 rows
     for name, k in [("m0", None), ("m2", None), ("mk", 5), ("L1", None), ("Lk", 3)]:
         g = make_fixture(name, 15, k=k)
         for i, j, value in g.relations():
-            assert value.support() == (i + j,)
+            assert tuple(idx for idx, _ in value.terms) == (i + j,)
     g = make_fixture("m1", 14)
     for i, j, value in g.relations():
-        assert value.support()[0] in (i + j, i + j - 1)
+        assert value.terms[0][0] in (i + j, i + j - 1)
 
 
 def all_fixtures(n):

@@ -79,11 +79,6 @@ class TestGPoly:
             g_poly(2, 3, -2)
 
 
-def test_equation_weight():
-    eq = Equation((2, 5, -1), g_poly(2, 5, -1), True)
-    assert eq.weight == 12
-
-
 def test_variable_inventory():
     assert variable_inventory(9) == [(2, s) for s in range(5)] + [(3, s) for s in range(3)] + [(4, 0)]
     for n in range(9, 25):
@@ -151,7 +146,8 @@ def test_label_count_identities():
     system = system_truncated(30)
     by_weight = {}
     for eq in system:
-        by_weight.setdefault(eq.weight, set()).add(eq.label)
+        j, q, r = eq.label
+        by_weight.setdefault(j + 2 * q + 1 + r, set()).add(eq.label)
     pairs_below = set()
     for w in range(9, 31):
         labels = by_weight.get(w, set())
@@ -178,32 +174,30 @@ def test_system_finite_twelve():
     assert tilde == {(2, 3, 3), (2, 4, 1), (2, 5, -1), (3, 4, 0)}
     assert TOP in system.variables
     # the r = -1 row is the signed marker correction alone
-    row = system.equation((2, 5, -1)).poly
-    assert row == P.variable(TOP) * (T(-2, (2, 0)) + T(3, (3, 0)) + T(-1, (5, 0)))
+    row = {eq.label: eq.poly for eq in system}[2, 5, -1]
+    assert row == T(1, TOP) * (T(-2, (2, 0)) + T(3, (3, 0)) + T(-1, (5, 0)))
 
 
 def test_top_row_sign_alternates():
     # k - j - q flips parity between the weight-14 tilde rows below
-    system = system_finite(14)
+    rows = {eq.label: eq.poly for eq in system_finite(14)}
     for label, sign in [((2, 5, 1), 1), ((3, 5, 0), -1), ((2, 4, 3), -1)]:
-        eq = system.equation(label)
-        marker_part = eq.poly - f_poly(*label)
-        expected = sign * (P.variable(TOP) * g_poly(*label))
+        marker_part = rows[label] - f_poly(*label)
+        expected = sign * (T(1, TOP) * g_poly(*label))
         assert marker_part == expected
 
 
 def test_x_modes():
-    free = system_finite(12, "free")
-    fixed0 = system_finite(12, "fixed-0")
-    fixed1 = system_finite(12, "fixed-1")
-    assert TOP not in fixed0.variables and TOP not in fixed1.variables
-    assert fixed0.equation((2, 5, -1)).poly.is_zero
-    assert fixed0.equation((3, 4, 0)).poly == f_poly(3, 4, 0)
-    assert fixed1.equation((2, 5, -1)).poly == T(-2, (2, 0)) + T(3, (3, 0)) + T(-1, (5, 0))
-    assert fixed1.equation((3, 4, 0)).poly == f_poly(3, 4, 0) - g_poly(3, 4, 0)
+    systems = [system_finite(12, x_mode) for x_mode in ("free", "fixed-0", "fixed-1")]
+    assert TOP not in systems[1].variables and TOP not in systems[2].variables
+    free, fixed0, fixed1 = ({eq.label: eq.poly for eq in system} for system in systems)
+    assert fixed0[2, 5, -1].is_zero
+    assert fixed0[3, 4, 0] == f_poly(3, 4, 0)
+    assert fixed1[2, 5, -1] == T(-2, (2, 0)) + T(3, (3, 0)) + T(-1, (5, 0))
+    assert fixed1[3, 4, 0] == f_poly(3, 4, 0) - g_poly(3, 4, 0)
     # non-marker rows are untouched
     for label in [(2, 3, 0), (2, 3, 2)]:
-        assert free.equation(label).poly == fixed0.equation(label).poly
+        assert free[label] == fixed0[label]
 
     with pytest.raises(ValueError):
         system_finite(12, "pinned")
@@ -212,19 +206,16 @@ def test_x_modes():
 @pytest.mark.parametrize("n", range(10, 31, 2))
 def test_tilde_rows_equal_f_plus_signed_marker_times_g(n):
     # each top row is F_{j,q,r} + (-1)^{k-j-q} x G_{j,q,r}, built as polynomials,
-    # with x then kept, set to 0 or set to 1
+    # with x kept (free), x = 0 (F alone, zero at r = -1) or x = 1 (F plus the signed G)
     k = n // 2
-    for x_mode, value in (("free", None), ("fixed-0", 0), ("fixed-1", 1)):
+    for x_mode in ("free", "fixed-0", "fixed-1"):
         for eq in system_finite(n, x_mode):
             if not eq.tilde:
                 continue
             j, q, r = eq.label
-            sign = -1 if (k - j - q) % 2 else 1
-            composed = sign * (P.variable(TOP) * g_poly(j, q, r))
-            if r >= 0:
-                composed = f_poly(j, q, r) + composed
-            if value is not None:
-                composed = composed.substitute_top(value)
+            f = f_poly(j, q, r) if r >= 0 else P()
+            g = (-1 if (k - j - q) % 2 else 1) * g_poly(j, q, r)
+            composed = {"free": f + T(1, TOP) * g, "fixed-0": f, "fixed-1": f + g}[x_mode]
             assert eq.poly == composed, (x_mode, eq.label)
 
 
@@ -303,15 +294,13 @@ def test_equation_system_guards():
     eq = Equation((2, 3, 0), f_poly(2, 3, 0), False)
     with pytest.raises(ValueError, match=r"equation \(2, 3, 0\) repeats a row of M_Fil\(9\)"):
         EquationSystem(9, "fixed-0", equations=(eq, eq))
-    stray = Equation((2, 3, 0), f_poly(2, 3, 0) + P.variable((9, 0)), False)
+    stray = Equation((2, 3, 0), f_poly(2, 3, 0) + T(1, (9, 0)), False)
     with pytest.raises(ValueError, match=r"equation \(2, 3, 0\) uses undeclared \{\(9, 0\)\}"):
         EquationSystem(9, "fixed-0", equations=(stray,))
     # a held system holds every row of its head
     with pytest.raises(ValueError, match=r"M_Fil\(30\) lacks row \(2, 3, 0\)"):
         EquationSystem(30, "fixed-1", equations=())
     system = system_finite(9)
-    with pytest.raises(KeyError):
-        system.equation((2, 4, 0))
     with pytest.raises(AttributeError):
         system.size = 10
 
