@@ -44,26 +44,28 @@ def _json_shape(raw, shape: type, where: str):
     return raw
 
 
-def _json_field(obj: dict, key: str, where: str):
-    # a missing key would raise KeyError, which names neither the rule nor the part
-    if key not in obj:
-        raise ValueError(f"{where} has no {key!r} key")
-    return obj[key]
+def _json_object(raw, keys, where: str, optional=()) -> list:
+    """The values at keys of raw, a JSON object with each of keys and no others but optional.
 
-
-def _json_keys(obj: dict, keys, where: str) -> None:
-    # a key that nothing reads, a misspelt one among them, would be dropped silently
-    for key in obj:
-        if key not in keys:
+    A key that nothing reads, a misspelt one among them, would be dropped
+    silently, and a missing one would raise KeyError, which names neither
+    the rule nor the part.
+    """
+    for key in _json_shape(raw, dict, where):
+        if key not in keys and key not in optional:
             raise ValueError(f"{where} has unknown key {key!r}")
+    for key in keys:
+        if key not in raw:
+            raise ValueError(f"{where} has no {key!r} key")
+    return [raw[key] for key in keys]
 
 
 def _variable_from_json(item):
     if item == "x":
         return TOP
-    if type(item) is not dict or item.keys() != {"j", "s"}:
-        raise ValueError(f"bad variable {item!r}: a variable is \"x\" or an object with j and s")
-    return tuple(_json_int(item[c], f"bad variable {item!r}: j and s") for c in "js")
+    where = f"bad variable {item!r}: a variable other than \"x\""
+    return tuple(_json_int(c, f"bad variable {item!r}: j and s")
+                 for c in _json_object(item, ("j", "s"), where))
 
 
 def _monomials_json(poly: DeformPolynomial) -> list:
@@ -73,39 +75,42 @@ def _monomials_json(poly: DeformPolynomial) -> list:
             for mono, coeff in poly.terms]
 
 
-def _monomials_from_json(items) -> DeformPolynomial:
+def _monomials_from_json(items, equation: str) -> DeformPolynomial:
     terms = []
     for item in _json_shape(items, list, "monomials"):
         mono = []
-        _json_keys(_json_shape(item, dict, "a monomial"), ("coeff", "vars"), "a monomial")
-        runs = _json_field(item, "vars", "a monomial")
+        coeff, runs = _json_object(item, ("coeff", "vars"), "a monomial")
         for packed in _json_shape(runs, list, "monomial vars"):
             where = f"bad monomial run {packed!r}: runs"
-            *var, power = _json_shape(packed, list, where)
+            # an empty run reads as power 0, which the power rule refuses
+            *var, power = _json_shape(packed, list, where) or [0]
             if _json_int(power, where) < 1:
                 raise ValueError(f"{where} need a power >= 1")
             v = TOP if var == ["x"] else tuple(_json_int(c, where) for c in var)
             mono.extend([v] * power)
-        # the constructor refuses a coefficient that is not an exact integer
-        terms.append((tuple(mono), _json_field(item, "coeff", "a monomial")))
-    return DeformPolynomial(terms)
+        terms.append((tuple(mono), coeff))
+    # the constructor refuses a coefficient that is not an exact integer, and
+    # would merge a repeated monomial and drop a zero coefficient
+    poly = DeformPolynomial(terms)
+    if len(poly.terms) != len(terms):
+        raise ValueError(f"{equation} must list each monomial once, with a nonzero coefficient")
+    return poly
+
+
+def _system_head(system: EquationSystem) -> dict:
+    """The system document without its equations: what the head alone decides."""
+    return {"kind": system.kind,
+            "total_max" if system.kind == "truncated" else "n": system.size,
+            "x_mode": system.x_mode,
+            "variables": [_variable_json(v) for v in system.variables]}
 
 
 def system_doc(system: EquationSystem) -> dict:
-    doc = {
-        "kind": system.kind,
-        "x_mode": system.x_mode,
-        "variables": [_variable_json(v) for v in system.variables],
-        "equations": [{"label": list(eq.label),
-                       "tilde": eq.tilde,
-                       "monomials": _monomials_json(eq.poly)}
-                      for eq in system],
-    }
-    if system.kind == "truncated":
-        doc["total_max"] = system.size
-    else:
-        doc["n"] = system.size
-    return doc
+    return {**_system_head(system),
+            "equations": [{"label": list(eq.label),
+                           "tilde": eq.tilde,
+                           "monomials": _monomials_json(eq.poly)}
+                          for eq in system]}
 
 
 def write_system_json(system: EquationSystem, write) -> None:
@@ -141,11 +146,6 @@ def write_system_json(system: EquationSystem, write) -> None:
         text = vars_cache[mono] = items(texts, 6)
         return text
 
-    def variable(v):
-        if v == TOP:
-            return '"x"'
-        return "{" + nl[3] + f'"j": {v[0]},' + nl[3] + f'"s": {v[1]}' + nl[2] + "}"
-
     # the sorted keys put "equations" first, and the rest of the head after them
     write("{" + nl[1] + '"equations": ')
     opening = "["
@@ -169,41 +169,35 @@ def write_system_json(system: EquationSystem, write) -> None:
               + nl[2] + "}")
         opening = ","
     write("[]" if opening == "[" else nl[1] + "]")
-    size_key = "total_max" if system.kind == "truncated" else "n"
-    write("," + nl[1] + '"kind": ' + json.dumps(system.kind, ensure_ascii=False)
-          + "," + nl[1] + f'"{size_key}": {system.size}'
-          + "," + nl[1] + '"variables": ' + items([variable(v) for v in system.variables], 2)
-          + "," + nl[1] + '"x_mode": ' + json.dumps(system.x_mode, ensure_ascii=False)
-          + "\n}\n")
+    # the rest of canonical_json's output: the head, whose keys sort after "equations"
+    write("," + json.dumps(_system_head(system), indent=2, sort_keys=True,
+                           ensure_ascii=False)[1:] + "\n")
 
 
 def parse_system_doc(doc) -> EquationSystem:
     where = "a system document"
-    kind = _json_field(_json_shape(doc, dict, where), "kind", where)
-    size_key = "total_max" if kind == "truncated" else "n"
-    _json_keys(doc, ("kind", size_key, "x_mode", "variables", "equations"), where)
-    size = _json_int(_json_field(doc, size_key, where), "system sizes")
-    declared = _json_shape(_json_field(doc, "variables", where), list, "variables")
-    variables = tuple(_variable_from_json(v) for v in declared)
-    x_mode = _json_field(doc, "x_mode", where)
-    head = EquationSystem(size, x_mode, kind == "truncated")  # the builders' refusals
+    # the kind names the size key, so it is read first, with any other key allowed
+    kind, = _json_object(doc, ("kind",), where, optional=doc)
+    truncated = kind == "truncated"
+    kind, size, x_mode, declared, rows = _json_object(
+        doc, ("kind", "total_max" if truncated else "n", "x_mode", "variables", "equations"), where)
+    size = _json_int(size, "system sizes")
+    variables = tuple(_variable_from_json(v) for v in _json_shape(declared, list, "variables"))
+    head = EquationSystem(size, x_mode, truncated)  # the builders' refusals
     if kind != head.kind:
         raise ValueError(f"system kind must be 'truncated' or {head.kind!r}, got {kind!r}")
     if variables != head.variables:
         raise ValueError(f"declared variables are not the inventory of {kind} "
                          f"with x_mode {x_mode!r}")
     equations = []
-    for item in _json_shape(_json_field(doc, "equations", where), list, "equations"):
-        raw = _json_field(_json_shape(item, dict, "an equation"), "label", "an equation")
+    for item in _json_shape(rows, list, "equations"):
+        raw, tilde, monomials = _json_object(item, ("label", "tilde", "monomials"), "an equation")
         if type(raw) is not list or len(raw) != 3:
             raise ValueError(f"bad equation label {raw!r}: labels need three entries")
         label = tuple(_json_int(c, f"bad equation label {raw!r}: labels") for c in raw)
-        _json_keys(item, ("label", "tilde", "monomials"), f"equation {label}")
-        tilde = _json_field(item, "tilde", f"equation {label}")
         if type(tilde) is not bool:
             raise ValueError(f"bad equation {label}: tilde must be a JSON boolean")
-        monomials = _json_field(item, "monomials", f"equation {label}")
-        poly = _monomials_from_json(monomials)
+        poly = _monomials_from_json(monomials, f"equation {label}")
         # x = 1 leaves G's linear terms in each tilde row and nowhere else; G
         # never vanishes, since its x_{j,r+1} coefficient is +-2
         linear = any(len(mono) == 1 for mono, _ in poly.terms)
@@ -212,7 +206,7 @@ def parse_system_doc(doc) -> EquationSystem:
                              f"which contradicts x_mode {x_mode!r}")
         equations.append(Equation(label, poly, tilde))
     # the constructor refuses equations that are not the head's rows, in order
-    return EquationSystem(size, x_mode, kind == "truncated", equations)
+    return EquationSystem(size, x_mode, truncated, equations)
 
 
 def write_system_text(system: EquationSystem, write) -> None:
@@ -262,15 +256,12 @@ def assignment_doc(assignment) -> dict:
 
 def parse_assignment(doc) -> dict:
     """Assignment file body -> variable map with exact rational values."""
-    if type(doc) is not dict or type(doc.get("entries")) is not list:
-        raise ValueError("assignment file must be an object with an 'entries' list")
-    _json_keys(doc, ("entries", "x"), "an assignment file")
+    entries, = _json_object(doc, ("entries",), "an assignment file", optional=("x",))
     out = {}
-    for item in doc["entries"]:
+    for item in _json_shape(entries, list, "an assignment file's 'entries' list"):
         where = f"bad assignment entry {item!r}"
-        _json_keys(_json_shape(item, dict, where), ("j", "s", "value"), where)
-        j, s = (_json_int(_json_field(item, c, where), f"{where}: j and s") for c in "js")
-        raw = _json_field(item, "value", where)
+        *indices, raw = _json_object(item, ("j", "s", "value"), where)
+        j, s = (_json_int(c, f"{where}: j and s") for c in indices)
         try:
             value = exact(raw)
         except ValueError as exc:

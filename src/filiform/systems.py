@@ -167,7 +167,7 @@ def _system_rows(n: int, marker_rows: bool) -> list[tuple[tuple[int, int, int], 
 
 def declared_variables(size: int, x_mode: str) -> tuple[Variable, ...]:
     """The inventory of size, plus the marker where x_mode keeps it at an even size."""
-    if x_mode not in X_MODES:
+    if type(x_mode) is not str or x_mode not in X_MODES:  # a list or dict is unhashable
         raise ValueError(f"unknown x_mode {x_mode!r}")
     marker = X_MODES[x_mode] if size % 2 == 0 else None
     return tuple(variable_inventory(size)) + (marker or ())

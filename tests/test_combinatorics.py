@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -93,3 +97,15 @@ def test_partitions_sum_over_q_is_total_count():
     totals = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     for k, expected in enumerate(totals):
         assert sum(partitions_exact(q, k) for q in range(k + 1)) == expected
+
+
+def test_partitions_need_no_recursion_depth():
+    # the recursive count raised RecursionError at (3, 1500) on a cold cache;
+    # a fresh interpreter keeps a cache that other tests warmed from hiding it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "from filiform.combinatorics import partitions_exact as p; print(p(3, 1500), p(3, 3000))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.returncode == 0, run.stderr
+    # P_3(k) is the integer nearest k^2 / 12
+    assert run.stdout.split() == [str(round(k * k / 12)) for k in (1500, 3000)]

@@ -245,6 +245,14 @@ def test_parse_system_doc_names_a_missing_key(key, part):
         parse_system_doc(doc)
 
 
+
+def test_parse_system_doc_names_the_missing_kind_of_a_truncated_document():
+    # the kind names the size key: without it, total_max is not an unknown key
+    doc = _doc(system_truncated(12))
+    del doc["kind"]
+    with pytest.raises(ValueError, match="has no 'kind' key"):
+        parse_system_doc(doc)
+
 def _doc(system):
     return json.loads(canonical_json(system_doc(system)))
 
@@ -444,6 +452,43 @@ def test_parse_system_doc_refuses_unknown_keys(system, edit, key):
     with pytest.raises(ValueError, match=f"unknown key '{key}'"):
         parse_system_doc(doc)
 
+
+
+@pytest.mark.parametrize("x_mode", [["free"], {"free": True}], ids=["list", "object"])
+def test_parse_system_doc_refuses_an_x_mode_that_is_not_a_string(x_mode):
+    # each used to raise TypeError (unhashable type)
+    doc = _doc_12()
+    doc["x_mode"] = x_mode
+    with pytest.raises(ValueError, match="unknown x_mode"):
+        parse_system_doc(doc)
+
+
+def _first_monomials(doc):
+    return doc["equations"][0]["monomials"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ms: ms.insert(1, dict(ms[0])),
+    lambda ms: ms.append({"coeff": "5", "vars": ms[0]["vars"]}),
+    lambda ms: ms.append({"coeff": "1", "vars": ms[0]["vars"][::-1]}),
+    lambda ms: ms[0].update(coeff="0"),
+    lambda ms: ms.append({"coeff": 0, "vars": [[2, 0, 2]]}),
+], ids=["doubled", "repeated", "runs-reordered", "zero", "new-zero"])
+def test_parse_system_doc_refuses_a_repeated_or_zero_monomial(edit):
+    # the repeats used to be summed, so the doubled -2*x_{2,0}*x_{4,0} of
+    # F_{2,3,0} read back as -4, and a zero coefficient was dropped
+    doc = _doc(system_finite(9))
+    edit(_first_monomials(doc))
+    with pytest.raises(ValueError, match=r"equation \(2, 3, 0\) must list each monomial once"):
+        parse_system_doc(doc)
+
+
+def test_parse_system_doc_names_an_empty_run():
+    # [] used to raise Python's "not enough values to unpack"
+    doc = _doc_12()
+    _first_monomials(doc)[0]["vars"] = [[], [2, 0, 1]]
+    with pytest.raises(ValueError, match=r"bad monomial run \[\]"):
+        parse_system_doc(doc)
 
 def test_report_verdicts():
     system = system_finite(9)

@@ -290,6 +290,13 @@ def test_a_stream_refuses_before_any_row(monkeypatch, args, message):
         EquationSystem(*args, equations=())
 
 
+
+@pytest.mark.parametrize("x_mode", [["free"], {"free": True}], ids=["list", "object"])
+def test_an_x_mode_that_is_not_a_string_is_unknown(x_mode):
+    # a list or an object used to raise TypeError (unhashable type)
+    with pytest.raises(ValueError, match="unknown x_mode"):
+        EquationSystem(12, x_mode)
+
 def test_equation_system_guards():
     eq = Equation((2, 3, 0), f_poly(2, 3, 0), False)
     with pytest.raises(ValueError, match=r"equation \(2, 3, 0\) repeats a row of M_Fil\(9\)"):
