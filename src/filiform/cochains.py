@@ -18,6 +18,7 @@ sum F_{j,q,r}(p) psi3(j, q, r): test_jacobi_defect_is_the_residual_combination.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 from operator import lt
@@ -187,51 +188,75 @@ def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
                        + sum_{i<j} (-1)^{i+j} c([x_i,x_j], .. x_i .. x_j ..)
     with 1-based positions and hats marking omitted arguments.
 
-    Brackets are read once into rows of terms (targets above n dropped) and the
-    signs listed once per call; each value adds into one dict, frozen once (ZERO
-    if it sums to 0).  In c([x_i,x_j], ..) the rest is increasing: idx goes in at
-    pos = bisect_left(rest, idx) with sign (-1)^pos, and drops if rest[pos] == idx.
+    Constructing dc reads nothing.  The first read of dc scatters c: each
+    increasing q-tuple T is read once through c.value_on_basis, and a nonzero
+    c(T) is pushed into one accumulator per (q+1)-tuple.  The first sum sends
+    (-1)^pos [e_idx, c(T)] to T with idx inserted at pos; the second sends
+    (-1)^{pos a + pos b + t} coeff c(T) to (T without T[t]) with a and b
+    inserted, for each bracket [e_a, e_b] (a < b) with a term coeff at T[t].
+    Brackets are clipped at n; only the nonzero sums are frozen, and dc's rule
+    is then a lookup.  A build that raises keeps no table.
     """
     if base.dim < c.dim:
         raise ValueError("base structure cutoff below cochain cutoff")
-    n, top = c.dim, base.dim
-    rows: dict[tuple[int, int], tuple] = {}
-    for i, j, value in base.relations():
-        rows[(i, j)] = value.clipped(n).terms
-        rows[(j, i)] = tuple((k, -v) for k, v in rows[(i, j)])
-    # 1-based positions: (-1)^{(p+1)+1} = (-1)^p, and (-1)^{(p+1)+(r+1)} = (-1)^{p+r}
-    size = c.degree + 1
-    position_signs = [(p, (-1) ** p) for p in range(size)]
-    pair_signs = [(p, r, (-1) ** (p + r)) for p, r in combinations(range(size), 2)]
-    value_on_basis = c.value_on_basis  # every read of c goes through its memo and checks
+    n, top, q = c.dim, base.dim, c.degree
+    value_on_basis = c.value_on_basis  # every read of c goes through its checks and memo
+
+    def scatter() -> dict[tuple[int, ...], LieElement]:
+        toward: dict[int, list] = {}  # j -> [(idx, terms of [e_idx, e_j])], idx <= n
+        lands: dict[int, list] = {}  # idx -> [(a, b, coeff of e_idx in [e_a, e_b])], a < b <= n
+        for a, b, value in base.relations():
+            terms = value.clipped(n).terms
+            if a > n or not terms:
+                continue
+            toward.setdefault(b, []).append((a, terms))
+            if b <= n:
+                toward.setdefault(a, []).append((b, tuple((k, -v) for k, v in terms)))
+                for idx, coeff in terms:
+                    lands.setdefault(idx, []).append((a, b, coeff))
+        accs: defaultdict[tuple[int, ...], dict[int, Fraction]] = defaultdict(dict)
+        for tup in combinations(range(1, n + 1), q):
+            terms = value_on_basis(tup).terms
+            if not terms:
+                continue
+            if terms[-1][0] > top:
+                raise ValueError(f"basis index out of range: c{tup} has e_{terms[-1][0]} "
+                                 f"with cutoff {top}")
+            for j, cj in terms:
+                for idx, row in toward.get(j, ()):
+                    pos = bisect_left(tup, idx)
+                    if pos < q and tup[pos] == idx:
+                        continue  # idx repeats an argument: no basis tuple
+                    f = -cj if pos % 2 else cj
+                    acc = accs[tup[:pos] + (idx,) + tup[pos:]]
+                    for k, v in row:
+                        acc[k] = acc.get(k, 0) + f * v
+            for t, idx in enumerate(tup):
+                rest = tup[:t] + tup[t + 1:]
+                for a, b, coeff in lands.get(idx, ()):
+                    pa = bisect_left(rest, a)
+                    if pa < q - 1 and rest[pa] == a:
+                        continue  # a or b repeats an argument: no basis tuple
+                    pb = bisect_left(rest, b, pa)
+                    if pb < q - 1 and rest[pb] == b:
+                        continue
+                    # a sits at pa and b at pb + 1 in the (q+1)-tuple
+                    f = -coeff if (pa + pb + 1 + t) % 2 else coeff
+                    acc = accs[rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]]
+                    for k, v in terms:
+                        acc[k] = acc.get(k, 0) + f * v
+        return {tup: LieElement._frozen(acc) for tup, acc in accs.items() if any(acc.values())}
+
+    table = None
 
     def rule(tup: tuple[int, ...]) -> LieElement:
-        acc: dict[int, Fraction] = {}
-        get = acc.get
-        for p, sign in position_signs:
-            idx = tup[p]
-            for j, cj in value_on_basis(tup[:p] + tup[p + 1:]).terms:
-                if j > top:
-                    raise ValueError(f"basis index out of range: ({idx},{j}) with cutoff {top}")
-                f = sign * cj
-                for k, v in rows.get((idx, j), ()):
-                    acc[k] = get(k, 0) + f * v
-        for p, r, sign in pair_signs:
-            row = rows.get((tup[p], tup[r]))
-            if row is None:
-                continue
-            rest = tup[:p] + tup[p + 1:r] + tup[r + 1:]
-            for idx, coeff in row:
-                pos = bisect_left(rest, idx)
-                if pos < len(rest) and rest[pos] == idx:
-                    continue  # a repeated argument: c vanishes
-                f = -sign * coeff if pos % 2 else sign * coeff
-                for k, v in value_on_basis(rest[:pos] + (idx,) + rest[pos:]).terms:
-                    acc[k] = get(k, 0) + f * v
-        return LieElement._frozen(acc) if any(acc.values()) else ZERO
+        nonlocal table
+        if table is None:
+            table = scatter()
+        return table.get(tup, ZERO)
 
     label = f"d({c.label})" if c.label else "d(cochain)"
-    return AdjointCochain(c.degree + 1, n, rule, label=label)
+    return AdjointCochain(q + 1, n, rule, label=label)
 
 
 def linear_combination(parts: Iterable[tuple[Fraction, AdjointCochain]], degree: int,

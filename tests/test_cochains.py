@@ -6,7 +6,8 @@ import pytest
 
 from filiform.cochains import (AdjointCochain, d_adjoint, linear_combination, psi2,
                                psi2_value, psi3, psi_top)
-from filiform.lie import ZERO, LieElement, make_fixture
+from filiform.combinatorics import binomial
+from filiform.lie import ZERO, LieElement, LieStructure, make_fixture
 from filiform.oracle import deformed_structure, jacobi_scan, known_solution
 from filiform.systems import _system_rows, residuals
 
@@ -146,6 +147,32 @@ def test_d_adjoint_refuses_a_value_above_the_base(dim):
         dc.value(1, 2)
 
 
+def test_d_adjoint_refuses_a_value_above_the_base_at_every_read():
+    # c = e_7 (x) e^2 over m0(6): reads whose arguments miss e_2 returned 0
+    # instead of refusing, and a refused read must not leave a table behind
+    c = AdjointCochain(1, 6, lambda tup: e(7) if tup == (2,) else LieElement())
+    dc = d_adjoint(c, make_fixture("m0", 6))
+    for tup in [(3, 4), (3, 4), (1, 2), (5, 6)]:
+        with pytest.raises(ValueError, match="out of range"):
+            dc.value(*tup)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_d_adjoint_reads_each_value_of_c_once(degree):
+    n = 10
+    table = _random_table(degree, n, degree)
+    rule_calls, reads = [], []
+    c = AdjointCochain(degree, n, lambda tup: rule_calls.append(tup) or table.value_on_basis(tup))
+    read = c.value_on_basis
+    c.value_on_basis = lambda tup: reads.append(tup) or read(tup)
+    dc = d_adjoint(c, _base("wild", n))
+    assert reads == []  # constructing dc reads nothing
+    for tup in combinations(range(1, n + 1), degree + 1):
+        dc.value_on_basis(tup)
+    assert sorted(reads) == list(combinations(range(1, n + 1), degree))
+    assert len(rule_calls) == len(reads) == binomial(n, degree)
+
+
 def _first_slot(f, vector, *rest):
     # f(vector, *rest) by linearity in the first slot, built from f.value
     out = LieElement()
@@ -187,7 +214,24 @@ def _off_variety(n, seed=3):
     return deformed_structure(_random_point(n, seed), n)
 
 
+def _wild(size, seed=8):
+    # a seeded bracket table that is not a Lie algebra: each bracket has terms
+    # at random indices, and about half also have one at their own arguments
+    rng = random.Random(seed)
+    relations = {}
+    for i, j in combinations(range(1, size + 1), 2):
+        if rng.random() < 0.4:
+            indices = rng.sample(range(1, size + 1), rng.randint(1, 2))
+            if rng.random() < 0.5:
+                indices.append(rng.choice([i, j]))
+            relations[(i, j)] = LieElement(
+                (k, Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))) for k in indices)
+    return LieStructure(size, relations, name="wild")
+
+
 def _base(name, size):
+    if name == "wild":
+        return _wild(size)
     return _off_variety(size) if name == "deformed" else make_fixture(name, size)
 
 
@@ -209,17 +253,25 @@ def test_the_deformed_base_is_off_the_variety(n):
     ("m1", _random_table(2, 10, 4), 0), ("m1", _random_table(3, 10, 5), 0),
     ("deformed", psi2(2, 0, 10), 0), ("deformed", psi2(3, 0, 10, method="series"), 0),
     ("deformed", _random_table(2, 10, 6), 0), ("deformed", _random_table(3, 9, 7), 3),
+    ("L1", _random_table(1, 10, 9), 0), ("m1", _random_table(1, 10, 10), 2),
+    ("deformed", _random_table(1, 10, 11), 0), ("wild", _random_table(1, 9, 12), 0),
+    ("wild", _random_table(2, 9, 13), 0), ("wild", _random_table(3, 9, 14), 0),
+    ("wild", _random_table(2, 9, 15), 3), ("wild", psi2(3, 1, 10), 0),
 ], ids=["psi2-on-L1", "psi2-on-m2", "psi3-on-L1", "psi2-series-on-L1", "psi2-combination-on-m2",
         "psi3-on-m2", "psi2-on-L1-above-n", "psi2-combination-on-m2-above-n",
         "psi3-on-L1-above-n", "random2-on-L1", "random3-on-m2", "random2-on-L1-above-n",
         "psi2-on-m1", "random2-on-m1", "random3-on-m1", "psi2-on-deformed",
-        "psi2-series-on-deformed", "random2-on-deformed", "random3-on-deformed-above-n"])
+        "psi2-series-on-deformed", "random2-on-deformed", "random3-on-deformed-above-n",
+        "random1-on-L1", "random1-on-m1-above-n", "random1-on-deformed", "random1-on-wild",
+        "random2-on-wild", "random3-on-wild", "random2-on-wild-above-n", "psi2-on-wild"])
 def test_d_adjoint_equals_the_differential_formula(name, cochain, extra):
     # on m0 only [e_1, .] is nonzero and the cocycles vanish on e_1, so the
     # sign of the [x_i, c(..)] terms at odd positions shows only on other bases
     # or for the random cochains, which are not closed and carry e_1; m1 and
     # the deformed base have brackets of several weights, and the deformed one
-    # breaks Jacobi; a base above n has brackets past e_n, which d_adjoint drops
+    # breaks Jacobi; the wild base is no Lie algebra, and its brackets land on
+    # their own arguments, which are no repeated argument once the bracket has
+    # taken them; a base above n has brackets past e_n, which d_adjoint drops
     n = cochain.dim
     base = _base(name, n + extra)
     dc = d_adjoint(cochain, base)
@@ -239,7 +291,7 @@ def test_d_adjoint_equals_the_differential_formula(name, cochain, extra):
     assert nonzero or not cochain.label.startswith("random")
 
 
-@pytest.mark.parametrize("n", [9, 12])
+@pytest.mark.parametrize("n", [9, 12, 16, 20])
 def test_psi2_closed(n):
     m0 = make_fixture("m0", n)
     for j, s in labels2(n):
@@ -253,7 +305,7 @@ def labels3(n):
             for s in range(n - (i + 2 * j + 1) + 1)]
 
 
-@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("n", [11, 12, 14, 16])
 def test_psi3_closed(n):
     m0 = make_fixture("m0", n)
     for i, j, s in labels3(n):
