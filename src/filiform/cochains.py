@@ -1,9 +1,9 @@
 """Adjoint-valued cochains on the chain algebra m0 and their calculus.
 
 A cochain of degree q assigns a vector to each increasing basis q-tuple.
-Values are memoized; evaluation on arbitrary index tuples routes through
-the permutation sign, and any tuple containing index 1 evaluates to zero
-for the standard weighted cocycles (their scalar parts have no e^1 factor).
+Evaluation on arbitrary index tuples routes through the permutation sign,
+and any tuple containing index 1 evaluates to zero for the standard
+weighted cocycles (their scalar parts have no e^1 factor).
 
 The weight-s degree-2 cocycle attached to sill index j has the closed form
     Psi_{j,s}(e_k, e_m) = (-1)^{j-k} C(m-j-1, j-k) e_{m+k+s},  k < m,
@@ -47,24 +47,29 @@ class AdjointCochain:
         self._memo: dict[tuple[int, ...], LieElement] = {}
 
     def value_on_basis(self, tup: tuple[int, ...]) -> LieElement:
-        """Value on a strictly increasing tuple (cached)."""
-        cached = self._memo.get(tup)
-        if cached is not None:
-            return cached
+        """Value on a strictly increasing tuple: _memo's if it holds one, else the rule's.
+
+        _memo is the cochain's one store of values (d_adjoint fills it); a read
+        stores nothing.  Indices are not type-checked: this is every sweep's hot
+        path, and the sweeps pass tuples from itertools.combinations.
+        """
+        stored = self._memo.get(tup)
+        if stored is not None:
+            return stored
         if len(tup) != self.degree:
             raise ValueError(f"expected {self.degree} indices, got {len(tup)}")
         if not all(map(lt, tup, tup[1:])):
             raise ValueError(f"tuple {tup} is not strictly increasing")
         if tup[0] < 1 or tup[-1] > self.dim:
             raise ValueError(f"tuple {tup} out of range 1..{self.dim}")
-        val = self._rule(tup)
-        self._memo[tup] = val
-        return val
+        return self._rule(tup)
 
     def value(self, *indices: int) -> LieElement:
-        """Value on any index tuple; repeats give zero, order gives the sign."""
+        """Value on any int index tuple; repeats give zero, order gives the sign."""
         if len(indices) != self.degree:
             raise ValueError(f"expected {self.degree} indices, got {len(indices)}")
+        if bad := [idx for idx in indices if type(idx) is not int]:
+            raise ValueError(f"basis indices must be ints, got {bad!r}")
         tup, sign = _sort_with_sign(indices)
         if not sign:
             return ZERO
@@ -188,75 +193,64 @@ def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
                        + sum_{i<j} (-1)^{i+j} c([x_i,x_j], .. x_i .. x_j ..)
     with 1-based positions and hats marking omitted arguments.
 
-    Constructing dc reads nothing.  The first read of dc scatters c: each
-    increasing q-tuple T is read once through c.value_on_basis, and a nonzero
-    c(T) is pushed into one accumulator per (q+1)-tuple.  The first sum sends
-    (-1)^pos [e_idx, c(T)] to T with idx inserted at pos; the second sends
-    (-1)^{pos a + pos b + t} coeff c(T) to (T without T[t]) with a and b
-    inserted, for each bracket [e_a, e_b] (a < b) with a term coeff at T[t].
-    Brackets are clipped at n; only the nonzero sums are frozen, and dc's rule
-    is then a lookup.  A build that raises keeps no table.
+    The call scatters c: each increasing q-tuple T is read once through
+    c.value_on_basis, and a nonzero c(T) is pushed into one accumulator per
+    (q+1)-tuple.  The first sum sends (-1)^pos [e_idx, c(T)] to T with idx
+    inserted at pos; the second sends (-1)^{pos a + pos b + t} coeff c(T) to
+    (T without T[t]) with a and b inserted, for each bracket [e_a, e_b] (a < b)
+    with a term coeff at T[t].  Brackets are clipped at n.  The nonzero sums
+    are dc's store of values and its rule returns zero, so a value of c above
+    the base is refused here, before dc exists.
     """
     if base.dim < c.dim:
         raise ValueError("base structure cutoff below cochain cutoff")
     n, top, q = c.dim, base.dim, c.degree
-    value_on_basis = c.value_on_basis  # every read of c goes through its checks and memo
-
-    def scatter() -> dict[tuple[int, ...], LieElement]:
-        toward: dict[int, list] = {}  # j -> [(idx, terms of [e_idx, e_j])], idx <= n
-        lands: dict[int, list] = {}  # idx -> [(a, b, coeff of e_idx in [e_a, e_b])], a < b <= n
-        for a, b, value in base.relations():
-            terms = value.clipped(n).terms
-            if a > n or not terms:
-                continue
-            toward.setdefault(b, []).append((a, terms))
-            if b <= n:
-                toward.setdefault(a, []).append((b, tuple((k, -v) for k, v in terms)))
-                for idx, coeff in terms:
-                    lands.setdefault(idx, []).append((a, b, coeff))
-        accs: defaultdict[tuple[int, ...], dict[int, Fraction]] = defaultdict(dict)
-        for tup in combinations(range(1, n + 1), q):
-            terms = value_on_basis(tup).terms
-            if not terms:
-                continue
-            if terms[-1][0] > top:
-                raise ValueError(f"basis index out of range: c{tup} has e_{terms[-1][0]} "
-                                 f"with cutoff {top}")
-            for j, cj in terms:
-                for idx, row in toward.get(j, ()):
-                    pos = bisect_left(tup, idx)
-                    if pos < q and tup[pos] == idx:
-                        continue  # idx repeats an argument: no basis tuple
-                    f = -cj if pos % 2 else cj
-                    acc = accs[tup[:pos] + (idx,) + tup[pos:]]
-                    for k, v in row:
-                        acc[k] = acc.get(k, 0) + f * v
-            for t, idx in enumerate(tup):
-                rest = tup[:t] + tup[t + 1:]
-                for a, b, coeff in lands.get(idx, ()):
-                    pa = bisect_left(rest, a)
-                    if pa < q - 1 and rest[pa] == a:
-                        continue  # a or b repeats an argument: no basis tuple
-                    pb = bisect_left(rest, b, pa)
-                    if pb < q - 1 and rest[pb] == b:
-                        continue
-                    # a sits at pa and b at pb + 1 in the (q+1)-tuple
-                    f = -coeff if (pa + pb + 1 + t) % 2 else coeff
-                    acc = accs[rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]]
-                    for k, v in terms:
-                        acc[k] = acc.get(k, 0) + f * v
-        return {tup: LieElement._frozen(acc) for tup, acc in accs.items() if any(acc.values())}
-
-    table = None
-
-    def rule(tup: tuple[int, ...]) -> LieElement:
-        nonlocal table
-        if table is None:
-            table = scatter()
-        return table.get(tup, ZERO)
-
-    label = f"d({c.label})" if c.label else "d(cochain)"
-    return AdjointCochain(q + 1, n, rule, label=label)
+    toward: dict[int, list] = {}  # j -> [(idx, terms of [e_idx, e_j])], idx <= n
+    lands: dict[int, list] = {}  # idx -> [(a, b, coeff of e_idx in [e_a, e_b])], a < b <= n
+    for a, b, value in base.relations():
+        terms = value.clipped(n).terms
+        if a > n or not terms:
+            continue
+        toward.setdefault(b, []).append((a, terms))
+        if b <= n:
+            toward.setdefault(a, []).append((b, tuple((k, -v) for k, v in terms)))
+            for idx, coeff in terms:
+                lands.setdefault(idx, []).append((a, b, coeff))
+    accs: defaultdict[tuple[int, ...], dict[int, Fraction]] = defaultdict(dict)
+    for tup in combinations(range(1, n + 1), q):
+        terms = c.value_on_basis(tup).terms
+        if not terms:
+            continue
+        if terms[-1][0] > top:
+            raise ValueError(f"basis index out of range: c{tup} has e_{terms[-1][0]} "
+                             f"with cutoff {top}")
+        for j, cj in terms:
+            for idx, row in toward.get(j, ()):
+                pos = bisect_left(tup, idx)
+                if pos < q and tup[pos] == idx:
+                    continue  # idx repeats an argument: no basis tuple
+                f = -cj if pos % 2 else cj
+                acc = accs[tup[:pos] + (idx,) + tup[pos:]]
+                for k, v in row:
+                    acc[k] = acc.get(k, 0) + f * v
+        for t, idx in enumerate(tup):
+            rest = tup[:t] + tup[t + 1:]
+            for a, b, coeff in lands.get(idx, ()):
+                pa = bisect_left(rest, a)
+                if pa < q - 1 and rest[pa] == a:
+                    continue  # a or b repeats an argument: no basis tuple
+                pb = bisect_left(rest, b, pa)
+                if pb < q - 1 and rest[pb] == b:
+                    continue
+                # a sits at pa and b at pb + 1 in the (q+1)-tuple
+                f = -coeff if (pa + pb + 1 + t) % 2 else coeff
+                acc = accs[rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]]
+                for k, v in terms:
+                    acc[k] = acc.get(k, 0) + f * v
+    dc = AdjointCochain(q + 1, n, lambda tup: ZERO,
+                        label=f"d({c.label})" if c.label else "d(cochain)")
+    dc._memo = {tup: LieElement._frozen(acc) for tup, acc in accs.items() if any(acc.values())}
+    return dc
 
 
 def linear_combination(parts: Iterable[tuple[Fraction, AdjointCochain]], degree: int,

@@ -140,21 +140,12 @@ def test_d_adjoint_simple_cochain():
 
 @pytest.mark.parametrize("dim", [6, 9])
 def test_d_adjoint_refuses_a_value_above_the_base(dim):
-    # a rule whose value has no basis vector in the base is malformed input
+    # a rule whose value has no basis vector in the base is malformed input, and
+    # the call refuses it before dc exists.  At dim 6 (c = e_7 (x) e^2 over m0(6))
+    # reads of dc whose arguments missed e_2 once returned 0 instead of refusing.
     c = AdjointCochain(1, 6, lambda tup: e(dim + 1) if tup == (2,) else LieElement())
-    dc = d_adjoint(c, make_fixture("m0", dim))
     with pytest.raises(ValueError, match="out of range"):
-        dc.value(1, 2)
-
-
-def test_d_adjoint_refuses_a_value_above_the_base_at_every_read():
-    # c = e_7 (x) e^2 over m0(6): reads whose arguments miss e_2 returned 0
-    # instead of refusing, and a refused read must not leave a table behind
-    c = AdjointCochain(1, 6, lambda tup: e(7) if tup == (2,) else LieElement())
-    dc = d_adjoint(c, make_fixture("m0", 6))
-    for tup in [(3, 4), (3, 4), (1, 2), (5, 6)]:
-        with pytest.raises(ValueError, match="out of range"):
-            dc.value(*tup)
+        d_adjoint(c, make_fixture("m0", dim))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -166,11 +157,31 @@ def test_d_adjoint_reads_each_value_of_c_once(degree):
     read = c.value_on_basis
     c.value_on_basis = lambda tup: reads.append(tup) or read(tup)
     dc = d_adjoint(c, _base("wild", n))
-    assert reads == []  # constructing dc reads nothing
+    # the call reads c's rule once per tuple, through value_on_basis
+    assert sorted(reads) == sorted(rule_calls) == list(combinations(range(1, n + 1), degree))
     for tup in combinations(range(1, n + 1), degree + 1):
         dc.value_on_basis(tup)
-    assert sorted(reads) == list(combinations(range(1, n + 1), degree))
-    assert len(rule_calls) == len(reads) == binomial(n, degree)
+    assert len(rule_calls) == len(reads) == binomial(n, degree)  # a sweep of dc reads no c
+
+
+def test_a_swept_differential_holds_each_value_once():
+    # dc's store holds its nonzero values and nothing else, and reads of c store
+    # nothing: both once kept every value read (1,140 and 190 entries here)
+    n = 20
+    c = psi2(3, 1, n)
+    dc = d_adjoint(c, deformed_structure(known_solution("L1", 1, bound=9), n))
+    values = {tup: dc.value_on_basis(tup) for tup in combinations(range(1, n + 1), 3)}
+    assert dc._memo == {tup: value for tup, value in values.items() if not value.is_zero}
+    assert len(dc._memo) == 56
+    assert c._memo == {}
+
+
+@pytest.mark.parametrize("indices", [(True, 3), (2.0, 5), (3, 5.0), (Fraction(3), 5)],
+                         ids=["bool", "float-first", "float-second", "fraction"])
+def test_value_refuses_indices_that_are_not_ints(indices):
+    # a bool was read as e_1 and a float second index gave 0
+    with pytest.raises(ValueError, match="must be ints"):
+        psi2(2, 0, 10).value(*indices)
 
 
 def _first_slot(f, vector, *rest):

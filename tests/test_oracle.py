@@ -129,6 +129,8 @@ def test_psi2_value_lands_on_k_plus_m_plus_s():
             for k, m in combinations(range(2, n + 1), 2):
                 value = psi2_value(j, s, n, k, m)
                 assert value is None or value[0] == k + m + s, (j, s, n, k, m)
+                assert (value is not None) == (k <= j <= (k + m - 1) // 2 and k + m + s <= n), \
+                    (j, s, n, k, m)
 
 
 @pytest.mark.parametrize("shift", [(1, 0), (0, 1)], ids=["target", "coeff"])
