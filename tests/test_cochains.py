@@ -141,11 +141,22 @@ def test_d_adjoint_simple_cochain():
 @pytest.mark.parametrize("dim", [6, 9])
 def test_d_adjoint_refuses_a_value_above_the_base(dim):
     # a rule whose value has no basis vector in the base is malformed input, and
-    # the call refuses it before dc exists.  At dim 6 (c = e_7 (x) e^2 over m0(6))
-    # reads of dc whose arguments missed e_2 once returned 0 instead of refusing.
+    # the call refuses it before dc exists
     c = AdjointCochain(1, 6, lambda tup: e(dim + 1) if tup == (2,) else LieElement())
     with pytest.raises(ValueError, match="out of range"):
         d_adjoint(c, make_fixture("m0", dim))
+
+
+def test_d_adjoint_refuses_a_value_above_the_base_at_every_read():
+    # c = e_7 (x) e^2 over m0(6): reads of dc whose arguments missed e_2 once
+    # returned 0 instead of refusing.  Every read of c now happens at the call,
+    # so each call refuses, and a refused call leaves no store behind in c.
+    c = AdjointCochain(1, 6, lambda tup: e(7) if tup == (2,) else LieElement())
+    m0 = make_fixture("m0", 6)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="out of range"):
+            d_adjoint(c, m0)
+        assert c._memo == {}
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
