@@ -69,7 +69,7 @@ def _load_assignment(args) -> dict:
         if args.known == "mk" and args.k is None:
             raise ValueError("--known mk needs --k")
         # the largest m with x_{m,0} (L1) or x_{m,2} (L1-lacuna2) in the inventory
-        bound = (args.dim - 3) // 2 if args.known == "L1-lacuna2" else (args.dim - 1) // 2
+        bound = {"L1": (args.dim - 1) // 2, "L1-lacuna2": (args.dim - 3) // 2}.get(args.known)
         return oracle.known_solution(args.known, 1, k=args.k, bound=bound)
     with open(args.assign, "r", encoding="utf-8") as handle:
         try:
@@ -82,8 +82,8 @@ def _load_assignment(args) -> dict:
 def cmd_check(args) -> int:
     from . import oracle, serialize, systems
     from .polynomials import var_key, var_text
-    assignment = _load_assignment(args)
     system = systems.EquationSystem(args.dim)  # refuses a dimension below 9 first
+    assignment = _load_assignment(args)
     stray = set(assignment) - set(system.variables)
     if stray:
         names = ", ".join(var_text(v) for v in sorted(stray, key=var_key))

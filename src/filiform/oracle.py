@@ -10,10 +10,11 @@ routes is the main correctness gate of the whole package.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Mapping
 
-from .cochains import psi2_value
+from .cochains import AdjointCochain, d_adjoint, psi2_value
 from .lie import LieElement, LieStructure, _chain_relations
 from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators, var_weight
 from .sparse import exact, require_ints
@@ -99,9 +100,15 @@ def oracle_coefficient(j: int, q: int, r: int, *, with_top: bool = False) -> Def
 
 def known_solution(name: str, t=1, k: int | None = None,
                    bound: int | None = None) -> dict[Variable, Fraction]:
-    """Assignment for one of the families known to lie on the variety."""
+    """Assignment for a known family on the variety; refuses a k or bound it does not take."""
     if any(v is not None and type(v) is not int for v in (k, bound)):
         raise ValueError(f"k and bound must be ints, got k={k!r}, bound={bound!r}")
+    takes = {"m2": (), "mk": ("k",), "L1": ("bound",), "L1-lacuna2": ("bound",)}
+    if name not in takes:
+        raise ValueError(f"unknown solution family {name!r}")
+    for param, value in (("k", k), ("bound", bound)):
+        if value is not None and param not in takes[name]:
+            raise ValueError(f"family {name} takes no parameter {param}")
     t = exact(t)
     if name == "m2":
         return {(2, 0): t}
@@ -111,17 +118,15 @@ def known_solution(name: str, t=1, k: int | None = None,
         return {(2, k - 2): t}
     if name == "L1-lacuna2" and bound is None:
         bound = 8  # the series up to m = 8 that the fixtures use
-    if name in ("L1", "L1-lacuna2") and (bound is None or bound < 2):
+    if bound is None or bound < 2:
         raise ValueError(f"family {name} needs a truncation bound >= 2")
     if name == "L1":
         return {(m, 0): t * Fraction(6 * factorial(m - 2) * factorial(m - 1),
                                      factorial(2 * m - 1))
                 for m in range(2, bound + 1)}
-    if name == "L1-lacuna2":
-        return {(m, 2): t * Fraction(6 * factorial(m) * factorial(m + 1),
-                                     factorial(2 * m + 3))
-                for m in range(2, bound + 1)}
-    raise ValueError(f"unknown solution family {name!r}")
+    return {(m, 2): t * Fraction(6 * factorial(m) * factorial(m + 1),
+                                 factorial(2 * m + 3))
+            for m in range(2, bound + 1)}
 
 
 def evaluate_system(system, assignment: Mapping[Variable, Fraction]):
@@ -165,33 +170,18 @@ def deformed_structure(assignment: Mapping[Variable, Fraction], n: int) -> LieSt
 def jacobi_scan(structure: LieStructure):
     """All increasing triples with a nonzero cyclic defect, in order.
 
-    Computes what structure.jacobi_defect does, triple by triple, on integers:
-    each [e_i, e_j] is read once as a row of numerators over the common
-    denominator D of the structure constants (clear_denominators, as for the
-    residuals), so a defect is an integer sum over D^2.
+    For an antisymmetric bracket mu, d_mu mu = -2 Jac(mu), Lie algebra or not:
+    each value is -1/2 cochains.d_adjoint(mu, mu), read on all C(n, 3) triples.
+    On integers, as for the residuals: cochain and base are D*mu, D the common
+    denominator of clear_denominators, and each value is scaled by -1/(2 D^2).
     """
     relations = list(structure.relations())
     denom, numerators = clear_denominators(
         {(i, j, idx): c for i, j, value in relations for idx, c in value.terms})
-    rows: dict[tuple[int, int], dict[int, int]] = {}
-    for i, j, value in relations:
-        row = {idx: numerators[(i, j, idx)] for idx, _ in value.terms}
-        rows[(i, j)] = row
-        rows[(j, i)] = {idx: -c for idx, c in row.items()}
-    square = denom * denom
-    empty: dict[int, int] = {}
-    out = []
     n = structure.dim
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                acc: dict[int, int] = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    # [[e_a, e_b], e_c] = sum over m of [e_a, e_b]_m [e_m, e_c]
-                    for m, cm in rows.get((a, b), empty).items():
-                        for t, ct in rows.get((m, c), empty).items():
-                            acc[t] = acc.get(t, 0) + cm * ct
-                if any(acc.values()):
-                    out.append(((i, j, k), LieElement._frozen(
-                        {t: Fraction(x, square) for t, x in acc.items() if x})))
-    return out
+    cleared = LieStructure(n, {(i, j): LieElement._frozen(
+        {idx: numerators[(i, j, idx)] for idx, _ in value.terms}) for i, j, value in relations})
+    d = d_adjoint(AdjointCochain(2, n, lambda tup: cleared.bracket_basis(*tup)), cleared)
+    factor = Fraction(-1, 2 * denom * denom)
+    return [(tup, value.scaled(factor)) for tup in combinations(range(1, n + 1), 3)
+            if not (value := d.value_on_basis(tup)).is_zero]

@@ -412,14 +412,20 @@ def test_check_refuses_non_list_entries(capsys, tmp_path, entries):
     assert "'entries' list" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("source", ["known", "assign"])
-def test_check_refuses_a_dimension_below_9(capsys, tmp_path, source):
+@pytest.mark.parametrize("dim, source", [
+    ("8", ["--known", "m2"]), ("8", ["--assign", "{assign}"]),
+    ("5", ["--known", "L1-lacuna2"]), ("3", ["--known", "L1"]),
+    ("5", ["--assign", "{missing}"]),
+], ids=["known", "assign", "lacuna-5", "L1-3", "missing-file-5"])
+def test_check_refuses_a_dimension_below_9(capsys, tmp_path, dim, source):
+    # the dimension is refused before the assignment is read: no family bound
+    # derived from it is named, and a missing file is no i/o error (exit 3)
     src = tmp_path / "assign.json"
     src.write_text(json.dumps({"entries": [{"j": 2, "s": 0, "value": "1"}]}))
-    extra = ["--known", "m2"] if source == "known" else ["--assign", str(src)]
-    code, out, err = run(capsys, "check", "--dim", "8", *extra)
+    extra = [arg.format(assign=src, missing=tmp_path / "missing.json") for arg in source]
+    code, out, err = run(capsys, "check", "--dim", dim, *extra)
     assert code == 2 and out == ""
-    assert "dimension must be >= 9, got 8" in err
+    assert f"dimension must be >= 9, got {dim}" in err
 
 
 def test_check_builds_no_polynomial(capsys, monkeypatch):

@@ -17,6 +17,8 @@ from filiform.oracle import (conclusive_inventory, deformed_structure, evaluate_
 from filiform.polynomials import TOP, DeformPolynomial
 from filiform.systems import f_poly, system_finite, system_truncated
 
+from test_cochains import _wild
+
 P = DeformPolynomial
 
 
@@ -186,6 +188,16 @@ class TestKnownSolutions:
         with pytest.raises(ValueError, match="must be ints"):
             known_solution(name, **args)
 
+    @pytest.mark.parametrize("name, args, param", [
+        ("L1", {"k": 3, "bound": 3}, "k"), ("m2", {"k": 7, "bound": 4}, "k"),
+        ("m2", {"bound": 4}, "bound"), ("mk", {"k": 3, "bound": 1}, "bound"),
+        ("L1-lacuna2", {"k": 9}, "k"),
+    ], ids=["L1-k", "m2-k-and-bound", "m2-bound", "mk-bound", "lacuna-k"])
+    def test_a_parameter_the_family_does_not_take_is_refused(self, name, args, param):
+        # these returned the family with the parameter dropped
+        with pytest.raises(ValueError, match=f"family {name} takes no parameter {param}$"):
+            known_solution(name, **args)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             known_solution("m1")
@@ -286,9 +298,13 @@ class TestJacobiScan:
         (25, {**known_solution("L1", Fraction(2, 9), bound=12), (4, 0): Fraction(-2, 5)}),
         (12, {TOP: Fraction(1), (2, 0): Fraction(1, 2)}),
         (16, {TOP: Fraction(-3, 5), (3, 1): Fraction(2), (2, 0): Fraction(1, 6)}),
-    ], ids=["L1-13", "L1-24", "shifted-14", "shifted-25", "marker-12", "marker-16"])
+        *((n, None) for n in (6, 9, 10, 13, 16)),
+    ], ids=["L1-13", "L1-24", "shifted-14", "shifted-25", "marker-12", "marker-16",
+            "not-lie-6", "not-lie-9", "not-lie-10", "not-lie-13", "not-lie-16"])
     def test_matches_reference_on_points(self, n, assignment):
-        structure = deformed_structure(assignment, n)
+        # with no assignment, a seeded table that is no Lie algebra, with brackets
+        # landing on e_1 and on their own arguments: the scan needs antisymmetry only
+        structure = _wild(n) if assignment is None else deformed_structure(assignment, n)
         assert jacobi_scan(structure) == self.reference(structure)
 
     @pytest.mark.parametrize("n", range(9, 26))
