@@ -1,9 +1,11 @@
 """Adjoint-valued cochains on the chain algebra m0 and their calculus.
 
-A cochain of degree q assigns a vector to each increasing basis q-tuple.
-Evaluation on arbitrary index tuples routes through the permutation sign,
-and any tuple containing index 1 evaluates to zero for the standard
-weighted cocycles (their scalar parts have no e^1 factor).
+A cochain of degree q is its table of nonzero vector values on increasing
+basis q-tuples; every other increasing tuple takes zero.  Evaluation on
+arbitrary index tuples routes through the permutation sign, and the standard
+weighted cocycles hold no tuple containing index 1 (their scalar parts have
+no e^1 factor).  Every constructor here builds its table once, and d_adjoint
+scatters c's table into dc's.
 
 The weight-s degree-2 cocycle attached to sill index j has the closed form
     Psi_{j,s}(e_k, e_m) = (-1)^{j-k} C(m-j-1, j-k) e_{m+k+s},  k < m,
@@ -22,7 +24,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 from operator import lt
-from typing import Callable, Iterable
+from typing import Iterable, Mapping
 
 from .combinatorics import binomial
 from .forms import ExtForm, _sort_with_sign, dminus1, omega
@@ -31,9 +33,14 @@ from .sparse import exact, require_ints
 
 
 class AdjointCochain:
-    """Alternating multilinear map on basis tuples with vector values."""
+    """Alternating multilinear map on basis tuples with vector values.
 
-    def __init__(self, degree: int, dim: int, rule: Callable[[tuple[int, ...]], LieElement],
+    values maps strictly increasing int tuples in 1..dim to LieElements with no
+    basis vector above dim.  Its nonzero entries are the cochain's one store;
+    every other increasing tuple takes zero.
+    """
+
+    def __init__(self, degree: int, dim: int, values: Mapping[tuple[int, ...], LieElement],
                  label: str = ""):
         require_ints(degree=degree, dim=dim)
         if degree < 1:
@@ -43,26 +50,40 @@ class AdjointCochain:
         self.degree = degree
         self.dim = dim
         self.label = label
-        self._rule = rule
-        self._memo: dict[tuple[int, ...], LieElement] = {}
+        for tup, value in values.items():
+            if type(tup) is not tuple or any(type(idx) is not int for idx in tup):
+                raise ValueError(f"a basis tuple must be a tuple of ints, got {tup!r}")
+            self._check_tuple(tup)
+            if value.terms and value.terms[-1][0] > dim:
+                raise ValueError(f"basis index out of range: the value on {tup} has "
+                                 f"e_{value.terms[-1][0]} above cutoff {dim}")
+        # the name _memo is the one perfbench/tracer.py's memo_probe reads
+        self._memo = {tup: value for tup, value in values.items() if not value.is_zero}
 
-    def value_on_basis(self, tup: tuple[int, ...]) -> LieElement:
-        """Value on a strictly increasing tuple: _memo's if it holds one, else the rule's.
-
-        _memo is the cochain's one store of values (d_adjoint fills it); a read
-        stores nothing.  Indices are not type-checked: this is every sweep's hot
-        path, and the sweeps pass tuples from itertools.combinations.
-        """
-        stored = self._memo.get(tup)
-        if stored is not None:
-            return stored
+    def _check_tuple(self, tup: tuple[int, ...]) -> None:
         if len(tup) != self.degree:
             raise ValueError(f"expected {self.degree} indices, got {len(tup)}")
         if not all(map(lt, tup, tup[1:])):
             raise ValueError(f"tuple {tup} is not strictly increasing")
         if tup[0] < 1 or tup[-1] > self.dim:
             raise ValueError(f"tuple {tup} out of range 1..{self.dim}")
-        return self._rule(tup)
+
+    def value_on_basis(self, tup: tuple[int, ...]) -> LieElement:
+        """Value on a strictly increasing tuple: the table's, else zero.
+
+        A tuple the table does not hold is checked before it reads as zero.
+        Indices are not type-checked: this is every sweep's hot path, and the
+        sweeps pass tuples from itertools.combinations.
+        """
+        stored = self._memo.get(tup)
+        if stored is not None:
+            return stored
+        self._check_tuple(tup)
+        return ZERO
+
+    def nonzero(self) -> list[tuple[tuple[int, ...], LieElement]]:
+        """The nonzero values as (tuple, value) pairs, by increasing tuple."""
+        return sorted(self._memo.items())
 
     def value(self, *indices: int) -> LieElement:
         """Value on any int index tuple; repeats give zero, order gives the sign."""
@@ -124,15 +145,14 @@ def psi2(j: int, s: int, n: int, method: str = "table") -> AdjointCochain:
     require_ints(j=j, s=s, n=n)
     _check_psi2_params(j, s, n)
     if method == "table":
-        def rule(tup: tuple[int, ...]) -> LieElement:
-            k, m = tup
-            value = None if k == 1 else psi2_value(j, s, n, k, m)
-            return ZERO if value is None else LieElement._frozen({value[0]: value[1]})
+        values = {(k, m): LieElement._frozen({value[0]: value[1]})
+                  for k, m in combinations(range(2, n + 1), 2)
+                  if (value := psi2_value(j, s, n, k, m)) is not None}
     elif method == "series":
-        rule = _series_rule(omega((j, j + 1)), 2 * j + 1, s, n)
+        values = _series_values(omega((j, j + 1)), 2 * j + 1, s, n)
     else:
         raise ValueError("method must be 'table' or 'series'")
-    return AdjointCochain(2, n, rule, label=f"Psi_{{{j},{s}}}")
+    return AdjointCochain(2, n, values, label=f"Psi_{{{j},{s}}}")
 
 
 def psi_top(k: int) -> AdjointCochain:
@@ -142,30 +162,20 @@ def psi_top(k: int) -> AdjointCochain:
     return psi2(k, -1, 2 * k)
 
 
-def _series_rule(base: ExtForm, base_weight: int, s: int, n: int):
-    """Cochain values read off the shift tower base, dminus1(base), ...
+def _series_values(base: ExtForm, base_weight: int, s: int, n: int) -> dict:
+    """Nonzero cochain values read off the shift tower base, dminus1(base), ...
 
-    A basis tuple of input weight base_weight + l takes its coefficient in
-    dminus1^l(base), paired with e_{base_weight + l + s}; tuples with e_1 or
-    below base_weight give zero.
+    Each monomial of dminus1^l(base) is a basis tuple of input weight
+    base_weight + l, and its coefficient is paired with e_{base_weight + l + s}.
+    The tower stops at weight n - s, so no value lands above e_n; its forms
+    have no e^1 (omega's indices are >= 2 and d1 sends e^2 to 0), so no tuple
+    holds e_1.
     """
     forms = [base]
-    for _ in range(max(0, n - base_weight - s)):
+    for _ in range(n - base_weight - s):
         forms.append(dminus1(forms[-1]))
-    tower = [dict(form.terms) for form in forms]  # a basis tuple is a sorted monomial
-
-    def rule(tup: tuple[int, ...]) -> LieElement:
-        if tup[0] == 1:
-            return ZERO
-        weight = sum(tup)
-        step = weight - base_weight
-        if not 0 <= step < len(tower):
-            # below the base weight, or past the tower (the target would exceed n)
-            return ZERO
-        coeff = tower[step].get(tup)
-        return LieElement._frozen({weight + s: coeff}) if coeff else ZERO
-
-    return rule
+    return {tup: LieElement._frozen({base_weight + step + s: coeff})
+            for step, form in enumerate(forms) for tup, coeff in form.terms}
 
 
 def psi3(i: int, j: int, s: int, n: int) -> AdjointCochain:
@@ -182,8 +192,8 @@ def psi3(i: int, j: int, s: int, n: int) -> AdjointCochain:
     base_weight = i + 2 * j + 1
     if base_weight + s > n:
         raise ValueError(f"label (i={i}, j={j}, s={s}) does not fit below cutoff {n}")
-    rule = _series_rule(omega((i, j, j + 1)), base_weight, s, n)
-    return AdjointCochain(3, n, rule, label=f"Psi_{{{i},{j},{s}}}")
+    values = _series_values(omega((i, j, j + 1)), base_weight, s, n)
+    return AdjointCochain(3, n, values, label=f"Psi_{{{i},{j},{s}}}")
 
 
 def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
@@ -193,37 +203,30 @@ def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
                        + sum_{i<j} (-1)^{i+j} c([x_i,x_j], .. x_i .. x_j ..)
     with 1-based positions and hats marking omitted arguments.
 
-    The call scatters c: each increasing q-tuple T is read once through
-    c.value_on_basis, and a nonzero c(T) is pushed into one accumulator per
-    (q+1)-tuple.  The first sum sends (-1)^pos [e_idx, c(T)] to T with idx
-    inserted at pos; the second sends (-1)^{pos a + pos b + t} coeff c(T) to
-    (T without T[t]) with a and b inserted, for each bracket [e_a, e_b] (a < b)
-    with a term coeff at T[t].  Brackets are clipped at n.  The nonzero sums
-    are dc's store of values and its rule returns zero, so a value of c above
-    the base is refused here, before dc exists.
+    The call scatters c's table: each nonzero c(T) is pushed into one
+    accumulator per (q+1)-tuple.  The first sum sends (-1)^pos [e_idx, c(T)] to
+    T with idx inserted at pos; the second sends (-1)^{pos a + pos b + t} coeff
+    c(T) to (T without T[t]) with a and b inserted, for each bracket [e_a, e_b]
+    (a < b) with a term coeff at T[t].  Brackets are clipped at n, and one with
+    b > n is never read, since c's values and arguments stop at e_n.  The
+    nonzero sums are dc's table.
     """
     if base.dim < c.dim:
         raise ValueError("base structure cutoff below cochain cutoff")
-    n, top, q = c.dim, base.dim, c.degree
+    n, q = c.dim, c.degree
     toward: dict[int, list] = {}  # j -> [(idx, terms of [e_idx, e_j])], idx <= n
     lands: dict[int, list] = {}  # idx -> [(a, b, coeff of e_idx in [e_a, e_b])], a < b <= n
     for a, b, value in base.relations():
         terms = value.clipped(n).terms
-        if a > n or not terms:
+        if b > n or not terms:
             continue
         toward.setdefault(b, []).append((a, terms))
-        if b <= n:
-            toward.setdefault(a, []).append((b, tuple((k, -v) for k, v in terms)))
-            for idx, coeff in terms:
-                lands.setdefault(idx, []).append((a, b, coeff))
+        toward.setdefault(a, []).append((b, tuple((k, -v) for k, v in terms)))
+        for idx, coeff in terms:
+            lands.setdefault(idx, []).append((a, b, coeff))
     accs: defaultdict[tuple[int, ...], dict[int, Fraction]] = defaultdict(dict)
-    for tup in combinations(range(1, n + 1), q):
-        terms = c.value_on_basis(tup).terms
-        if not terms:
-            continue
-        if terms[-1][0] > top:
-            raise ValueError(f"basis index out of range: c{tup} has e_{terms[-1][0]} "
-                             f"with cutoff {top}")
+    for tup, value in c._memo.items():
+        terms = value.terms
         for j, cj in terms:
             for idx, row in toward.get(j, ()):
                 pos = bisect_left(tup, idx)
@@ -247,22 +250,20 @@ def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
                 acc = accs[rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]]
                 for k, v in terms:
                     acc[k] = acc.get(k, 0) + f * v
-    dc = AdjointCochain(q + 1, n, lambda tup: ZERO,
-                        label=f"d({c.label})" if c.label else "d(cochain)")
-    dc._memo = {tup: LieElement._frozen(acc) for tup, acc in accs.items() if any(acc.values())}
-    return dc
+    values = {tup: LieElement._frozen(acc) for tup, acc in accs.items() if any(acc.values())}
+    return AdjointCochain(q + 1, n, values, label=f"d({c.label})" if c.label else "d(cochain)")
 
 
 def linear_combination(parts: Iterable[tuple[Fraction, AdjointCochain]], degree: int,
                        n: int) -> AdjointCochain:
-    """sum c_i * f_i as a single cochain (weights need not match)."""
+    """sum c_i * f_i as a single cochain (weights need not match): the sum of their tables."""
     parts = [(exact(c), f) for c, f in parts]
     for _, f in parts:
         if f.degree != degree or f.dim != n:
             raise ValueError("mixed degrees or cutoffs in linear combination")
-
-    def rule(tup: tuple[int, ...]) -> LieElement:
-        return LieElement._sum((c, f.value_on_basis(tup)) for c, f in parts)
-
-    return AdjointCochain(degree, n, rule, label="sum")
-
+    sums: dict[tuple[int, ...], list] = {}
+    for c, f in parts:
+        for tup, value in f._memo.items():
+            sums.setdefault(tup, []).append((c, value))
+    return AdjointCochain(degree, n, {tup: LieElement._sum(terms) for tup, terms in sums.items()},
+                          label="sum")

@@ -10,7 +10,6 @@ routes is the main correctness gate of the whole package.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 from typing import Mapping
 
@@ -171,7 +170,7 @@ def jacobi_scan(structure: LieStructure):
     """All increasing triples with a nonzero cyclic defect, in order.
 
     For an antisymmetric bracket mu, d_mu mu = -2 Jac(mu), Lie algebra or not:
-    each value is -1/2 cochains.d_adjoint(mu, mu), read on all C(n, 3) triples.
+    each value is -1/2 cochains.d_adjoint(mu, mu), whose table holds every nonzero one.
     On integers, as for the residuals: cochain and base are D*mu, D the common
     denominator of clear_denominators, and each value is scaled by -1/(2 D^2).
     """
@@ -179,9 +178,8 @@ def jacobi_scan(structure: LieStructure):
     denom, numerators = clear_denominators(
         {(i, j, idx): c for i, j, value in relations for idx, c in value.terms})
     n = structure.dim
-    cleared = LieStructure(n, {(i, j): LieElement._frozen(
-        {idx: numerators[(i, j, idx)] for idx, _ in value.terms}) for i, j, value in relations})
-    d = d_adjoint(AdjointCochain(2, n, lambda tup: cleared.bracket_basis(*tup)), cleared)
+    table = {(i, j): LieElement._frozen({idx: numerators[(i, j, idx)] for idx, _ in value.terms})
+             for i, j, value in relations}
+    dmu = d_adjoint(AdjointCochain(2, n, table), LieStructure(n, table))
     factor = Fraction(-1, 2 * denom * denom)
-    return [(tup, value.scaled(factor)) for tup in combinations(range(1, n + 1), 3)
-            if not (value := d.value_on_basis(tup)).is_zero]
+    return [(tup, value.scaled(factor)) for tup, value in dmu.nonzero()]

@@ -6,7 +6,6 @@ import pytest
 
 from filiform.cochains import (AdjointCochain, d_adjoint, linear_combination, psi2,
                                psi2_value, psi3, psi_top)
-from filiform.combinatorics import binomial
 from filiform.lie import ZERO, LieElement, LieStructure, make_fixture
 from filiform.oracle import deformed_structure, jacobi_scan, known_solution
 from filiform.systems import _system_rows, residuals
@@ -126,11 +125,7 @@ class TestPsi3:
 def test_d_adjoint_simple_cochain():
     # c = e_5 (x) e^2 over m0(6): only dc(e_1, e_2) = [e_1, e_5] survives
     m0 = make_fixture("m0", 6)
-
-    def rule(tup):
-        return e(5) if tup == (2,) else LieElement()
-
-    c = AdjointCochain(1, 6, rule)
+    c = AdjointCochain(1, 6, {(2,): e(5)})
     dc = d_adjoint(c, m0)
     assert dc.value(1, 2) == e(6)
     assert dc.value(1, 3).is_zero
@@ -140,51 +135,99 @@ def test_d_adjoint_simple_cochain():
 
 @pytest.mark.parametrize("dim", [6, 9])
 def test_d_adjoint_refuses_a_value_above_the_base(dim):
-    # a rule whose value has no basis vector in the base is malformed input, and
-    # the call refuses it before dc exists
-    c = AdjointCochain(1, 6, lambda tup: e(dim + 1) if tup == (2,) else LieElement())
+    # a value with a basis vector above the cochain's cutoff, and so above a
+    # base of that cutoff, is malformed input, refused when the cochain is built
     with pytest.raises(ValueError, match="out of range"):
-        d_adjoint(c, make_fixture("m0", dim))
+        AdjointCochain(1, 6, {(2,): e(dim + 1)})
 
 
 def test_d_adjoint_refuses_a_value_above_the_base_at_every_read():
     # c = e_7 (x) e^2 over m0(6): reads of dc whose arguments missed e_2 once
-    # returned 0 instead of refusing.  Every read of c now happens at the call,
-    # so each call refuses, and a refused call leaves no store behind in c.
-    c = AdjointCochain(1, 6, lambda tup: e(7) if tup == (2,) else LieElement())
-    m0 = make_fixture("m0", 6)
+    # returned 0 instead of refusing.  No such c can be built now, so no dc of
+    # it can be read at all: each attempt is refused at construction.
     for _ in range(3):
         with pytest.raises(ValueError, match="out of range"):
-            d_adjoint(c, m0)
-        assert c._memo == {}
+            AdjointCochain(1, 6, {(2,): e(7)})
+
+
+def test_d_adjoint_keeps_every_value_of_dc_below_the_cutoff():
+    # c = e_7 (x) e^3 at cutoff 6 over m0(9) once gave dc(e_1, e_2) = -e_7 above
+    # dc's cutoff, while [e_1, c(e_3)] = e_8 was clipped away
+    with pytest.raises(ValueError, match="out of range"):
+        AdjointCochain(1, 6, {(3,): e(7)})
+    # at the cutoff: dc(e_1, e_2) = -c([e_1, e_2]) = -e_6, and [e_1, c(e_3)] = e_7
+    # is clipped, as is every bracket of m0(9) past e_6
+    dc = d_adjoint(AdjointCochain(1, 6, {(3,): e(6)}), make_fixture("m0", 9))
+    assert dc.nonzero() == [((1, 2), e(6, -1))]
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_d_adjoint_reads_each_value_of_c_once(degree):
+    # the call scatters c's table and makes no value_on_basis call on c, and a
+    # sweep of dc makes none either; the table is unchanged by both
     n = 10
-    table = _random_table(degree, n, degree)
-    rule_calls, reads = [], []
-    c = AdjointCochain(degree, n, lambda tup: rule_calls.append(tup) or table.value_on_basis(tup))
+    c = _random_table(degree, n, degree)
+    table = dict(c._memo)
+    reads = []
     read = c.value_on_basis
     c.value_on_basis = lambda tup: reads.append(tup) or read(tup)
     dc = d_adjoint(c, _base("wild", n))
-    # the call reads c's rule once per tuple, through value_on_basis
-    assert sorted(reads) == sorted(rule_calls) == list(combinations(range(1, n + 1), degree))
+    assert reads == []
     for tup in combinations(range(1, n + 1), degree + 1):
         dc.value_on_basis(tup)
-    assert len(rule_calls) == len(reads) == binomial(n, degree)  # a sweep of dc reads no c
+    assert reads == [] and c._memo == table
 
 
 def test_a_swept_differential_holds_each_value_once():
-    # dc's store holds its nonzero values and nothing else, and reads of c store
-    # nothing: both once kept every value read (1,140 and 190 entries here)
+    # dc's table holds its nonzero values and nothing else, and a sweep leaves
+    # c's table unchanged: both once kept every value read (1,140 and 190 here)
     n = 20
     c = psi2(3, 1, n)
+    table = dict(c._memo)
     dc = d_adjoint(c, deformed_structure(known_solution("L1", 1, bound=9), n))
     values = {tup: dc.value_on_basis(tup) for tup in combinations(range(1, n + 1), 3)}
     assert dc._memo == {tup: value for tup, value in values.items() if not value.is_zero}
     assert len(dc._memo) == 56
-    assert c._memo == {}
+    assert dc.nonzero() == sorted(dc._memo.items())
+    assert c._memo == table
+
+
+@pytest.mark.parametrize("key, reason", [
+    (2, "tuple of ints"), ("23", "tuple of ints"), ((2.0, 3), "tuple of ints"),
+    ((True, 3), "tuple of ints"), ((2, 3, 4), "expected 2 indices"),
+    ((3, 2), "not strictly increasing"), ((3, 3), "not strictly increasing"),
+    ((0, 3), "out of range"), ((3, 11), "out of range"),
+], ids=["int", "str", "float-index", "bool-index", "too-long", "decreasing", "repeated",
+        "index-0", "above-n"])
+def test_the_table_refuses_a_bad_key(key, reason):
+    with pytest.raises(ValueError, match=reason):
+        AdjointCochain(2, 10, {key: e(5)})
+
+
+def test_the_table_drops_zero_values():
+    c = AdjointCochain(2, 10, {(2, 3): ZERO, (2, 4): e(6), (3, 4): e(7) - e(7)})
+    assert c._memo == {(2, 4): e(6)}
+    assert c.value(3, 2).is_zero and c.value(4, 2) == -e(6)
+
+
+@pytest.mark.parametrize("n", range(9, 21))
+@pytest.mark.parametrize("method", ["table", "series"])
+def test_the_psi2_table_is_the_support_rule(n, method):
+    # the nonzero values of Psi_{j,s} sit exactly on the pairs k < m with
+    # 2 <= k <= j, k + m >= 2j + 1 and k + m + s <= n, s = -1 included
+    labels = labels2(n) + ([(n // 2, -1)] if n % 2 == 0 else [])
+    for j, s in labels:
+        support = {(k, m) for k, m in combinations(range(2, n + 1), 2)
+                   if k <= j and k + m >= 2 * j + 1 and k + m + s <= n}
+        assert set(psi2(j, s, n, method)._memo) == support, (j, s)
+
+
+def test_a_combination_whose_parts_cancel_holds_an_empty_table():
+    n = 12
+    parts = [(Fraction(2, 3), psi2(3, 1, n)), (Fraction(-2, 3), psi2(3, 1, n, method="series")),
+             (1, psi3(2, 3, 0, n)), (-1, psi3(2, 3, 0, n))]
+    assert linear_combination(parts[:2], 2, n)._memo == {}
+    assert linear_combination(parts[2:], 3, n)._memo == {}
 
 
 @pytest.mark.parametrize("indices", [(True, 3), (2.0, 5), (3, 5.0), (Fraction(3), 5)],
@@ -220,8 +263,7 @@ def _random_table(degree, n, seed):
                 indices.append(1)
             table[tup] = LieElement((i, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
                                     for i in indices)
-    return AdjointCochain(degree, n, lambda tup: table.get(tup, LieElement()),
-                          label=f"random{degree}")
+    return AdjointCochain(degree, n, table, label=f"random{degree}")
 
 
 def _random_point(n, seed=3):
@@ -383,8 +425,8 @@ def test_jacobi_defect_is_the_residual_combination(n, point):
     lambda: psi2(2, True, 10), lambda: psi2(2, 0, 10.0), lambda: psi2(2.0, 0, 10),
     lambda: psi2(2, 0, 10.0, method="series"), lambda: psi_top(3.0),
     lambda: psi3(2, 3, True, 11), lambda: psi3(2.0, 3, 0, 11), lambda: psi3(2, 3, 0, 11.0),
-    lambda: AdjointCochain(2.5, 10, lambda tup: ZERO),
-    lambda: AdjointCochain(True, 10, lambda tup: ZERO),
+    lambda: AdjointCochain(2.5, 10, {}),
+    lambda: AdjointCochain(True, 10, {}),
     lambda: linear_combination([(1, psi2(2, 0, 10))], 2, 10.0),
 ], ids=["psi2-bool-weight", "psi2-float-size", "psi2-float-sill", "psi2-series-float-size",
         "psi_top-float", "psi3-bool-weight", "psi3-float-label", "psi3-float-size",
@@ -414,7 +456,9 @@ def test_degree_guards():
 ], ids=["decreasing", "above-n", "repeated", "index-0", "too-short", "too-long",
         "psi3-repeated", "psi3-decreasing"])
 def test_value_on_basis_refusals_leave_the_memo_empty(degree, tup):
+    # a refused read stores nothing: the table is unchanged by it
     c = psi2(2, 0, 10) if degree == 2 else psi3(2, 3, 0, 10)
+    table = dict(c._memo)
     with pytest.raises(ValueError):
         c.value_on_basis(tup)
-    assert c._memo == {}
+    assert c._memo == table
