@@ -9,11 +9,11 @@ from importlib import import_module
 
 # each re-exported name by its home module, imported on first access (PEP 562)
 _HOMES = {
-    "cochains": ("AdjointCochain", "d_adjoint", "linear_combination", "psi2", "psi2_value",
-                 "psi3", "psi_top"),
+    "cochains": ("AdjointCochain", "LieStructure", "d_adjoint", "linear_combination", "psi2",
+                 "psi2_value", "psi3", "psi_top"),
     "combinatorics": ("binomial", "partitions_exact"),
     "forms": ("ExtForm", "d1", "d_trivial", "dminus1", "omega", "wedge"),
-    "lie": ("LieElement", "LieStructure", "make_fixture"),
+    "lie": ("LieElement", "make_fixture"),
     "oracle": ("conclusive_inventory", "deformed_structure", "evaluate_system", "jacobi_scan",
                "known_solution", "oracle_coefficient"),
     "polynomials": ("TOP", "DeformPolynomial"),

@@ -1,11 +1,12 @@
 """Adjoint-valued cochains on the chain algebra m0 and their calculus.
 
 A cochain of degree q is its table of nonzero vector values on increasing
-basis q-tuples; every other increasing tuple takes zero.  Evaluation on
-arbitrary index tuples routes through the permutation sign, and the standard
-weighted cocycles hold no tuple containing index 1 (their scalar parts have
-no e^1 factor).  Every constructor here builds its table once, and d_adjoint
-scatters c's table into dc's.
+basis q-tuples; every other increasing tuple takes zero.  A bracket is such
+a table of degree 2, a LieStructure, and d_adjoint takes any degree-2 cochain
+as its base.  Evaluation on arbitrary index tuples routes through the
+permutation sign, and the standard weighted cocycles hold no tuple containing
+index 1 (their scalar parts have no e^1 factor).  Every constructor here
+builds its table once, and d_adjoint scatters c's table into dc's.
 
 The weight-s degree-2 cocycle attached to sill index j has the closed form
     Psi_{j,s}(e_k, e_m) = (-1)^{j-k} C(m-j-1, j-k) e_{m+k+s},  k < m,
@@ -28,7 +29,7 @@ from typing import Iterable, Mapping
 
 from .combinatorics import binomial
 from .forms import ExtForm, _sort_with_sign, dminus1, omega
-from .lie import ZERO, LieElement, LieStructure
+from .lie import ZERO, LieElement
 from .sparse import exact, require_ints
 
 
@@ -52,7 +53,7 @@ class AdjointCochain:
         self.label = label
         for tup, value in values.items():
             if type(tup) is not tuple or any(type(idx) is not int for idx in tup):
-                raise ValueError(f"a basis tuple must be a tuple of ints, got {tup!r}")
+                raise ValueError(f"basis indices must be ints, in a tuple of ints; got {tup!r}")
             self._check_tuple(tup)
             if value.terms and value.terms[-1][0] > dim:
                 raise ValueError(f"basis index out of range: the value on {tup} has "
@@ -63,10 +64,10 @@ class AdjointCochain:
     def _check_tuple(self, tup: tuple[int, ...]) -> None:
         if len(tup) != self.degree:
             raise ValueError(f"expected {self.degree} indices, got {len(tup)}")
-        if not all(map(lt, tup, tup[1:])):
-            raise ValueError(f"tuple {tup} is not strictly increasing")
         if tup[0] < 1 or tup[-1] > self.dim:
             raise ValueError(f"tuple {tup} out of range 1..{self.dim}")
+        if not all(map(lt, tup, tup[1:])):
+            raise ValueError(f"tuple {tup} is not strictly increasing")
 
     def value_on_basis(self, tup: tuple[int, ...]) -> LieElement:
         """Value on a strictly increasing tuple: the table's, else zero.
@@ -86,20 +87,38 @@ class AdjointCochain:
         return sorted(self._memo.items())
 
     def value(self, *indices: int) -> LieElement:
-        """Value on any int index tuple; repeats give zero, order gives the sign."""
+        """Value on any int index tuple in range; repeats give zero, order gives the sign."""
         if len(indices) != self.degree:
             raise ValueError(f"expected {self.degree} indices, got {len(indices)}")
         if bad := [idx for idx in indices if type(idx) is not int]:
             raise ValueError(f"basis indices must be ints, got {bad!r}")
         tup, sign = _sort_with_sign(indices)
-        if not sign:
-            return ZERO
+        if not sign and 1 <= tup[0] and tup[-1] <= self.dim:
+            return ZERO  # a repeat out of range goes on to value_on_basis's refusal
         base = self.value_on_basis(tup)
         return base if sign == 1 else -base
 
     def __repr__(self) -> str:
         tag = self.label or "cochain"
-        return f"<AdjointCochain {tag} deg={self.degree} n={self.dim}>"
+        return f"<{type(self).__name__} {tag} deg={self.degree} n={self.dim}>"
+
+
+class LieStructure(AdjointCochain):
+    """A bracket on e_1..e_dim: the degree-2 cochain of its values [e_i, e_j], i < j."""
+
+    def __init__(self, dim: int, relations: Mapping[tuple[int, int], LieElement],
+                 label: str = ""):
+        super().__init__(2, dim, relations, label)
+
+    def bracket(self, a: LieElement, b: LieElement) -> LieElement:
+        return LieElement._sum((ca * cb, self.value(i, j))
+                               for i, ca in a.terms for j, cb in b.terms)
+
+    def jacobi_defect(self, i: int, j: int, k: int) -> LieElement:
+        """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
+        ei, ej, ek = (LieElement.basis(m) for m in (i, j, k))
+        return LieElement._sum((1, self.bracket(self.bracket(x, y), z))
+                               for x, y, z in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)))
 
 
 def psi2_value(j: int, s: int, n: int, k: int, m: int) -> tuple[int, int] | None:
@@ -196,8 +215,8 @@ def psi3(i: int, j: int, s: int, n: int) -> AdjointCochain:
     return AdjointCochain(3, n, values, label=f"Psi_{{{i},{j},{s}}}")
 
 
-def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
-    """Chevalley-Eilenberg differential of c with respect to ad of base.
+def d_adjoint(c: AdjointCochain, base: AdjointCochain) -> AdjointCochain:
+    """Chevalley-Eilenberg differential of c with respect to ad of base, a degree-2 cochain.
 
     (dc)(x_1..x_{q+1}) = sum_i (-1)^{i+1} [x_i, c(.. x_i ..)]
                        + sum_{i<j} (-1)^{i+j} c([x_i,x_j], .. x_i .. x_j ..)
@@ -211,12 +230,14 @@ def d_adjoint(c: AdjointCochain, base: LieStructure) -> AdjointCochain:
     b > n is never read, since c's values and arguments stop at e_n.  The
     nonzero sums are dc's table.
     """
+    if base.degree != 2:
+        raise ValueError(f"the base must be a bracket, of degree 2, not of degree {base.degree}")
     if base.dim < c.dim:
         raise ValueError("base structure cutoff below cochain cutoff")
     n, q = c.dim, c.degree
     toward: dict[int, list] = {}  # j -> [(idx, terms of [e_idx, e_j])], idx <= n
     lands: dict[int, list] = {}  # idx -> [(a, b, coeff of e_idx in [e_a, e_b])], a < b <= n
-    for a, b, value in base.relations():
+    for (a, b), value in base.nonzero():
         terms = value.clipped(n).terms
         if b > n or not terms:
             continue

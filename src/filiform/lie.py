@@ -1,16 +1,16 @@
-"""Sparse exact Lie algebra skeleton over a finite graded basis e_1..e_n.
+"""Sparse exact Lie elements over a finite graded basis e_1..e_n, and the stock algebras.
 
-Vectors are rational linear combinations of basis elements; structures keep
-only the bracket relations [e_i, e_j] with i < j and a fixed index cutoff n.
-Any bracket target above the cutoff is dropped, never wrapped around, so a
-structure of cutoff n is the degree-n truncation of the corresponding
-N-graded algebra.
+Vectors are rational linear combinations of basis elements.  Each stock
+algebra is built as its bracket relations [e_i, e_j] with i < j at a fixed
+index cutoff n, and make_fixture makes them a cochains.LieStructure, the
+bracket as a degree-2 cochain.  Any bracket target above the cutoff is
+dropped, never wrapped around, so a structure of cutoff n is the degree-n
+truncation of the corresponding N-graded algebra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping
 
 from .sparse import SparseCombination, exact, require_ints
 
@@ -52,62 +52,12 @@ class LieElement(SparseCombination):
 ZERO = LieElement()
 
 
-class LieStructure:
-    """Bracket table on basis e_1..e_dim; relations stored only for i < j."""
-
-    def __init__(self, dim: int, relations: Mapping[tuple[int, int], LieElement],
-                 name: str = ""):
-        require_ints(dim=dim)
-        if dim < 1:
-            raise ValueError("dimension cutoff must be >= 1")
-        table: dict[tuple[int, int], LieElement] = {}
-        for (i, j), value in relations.items():
-            if type(i) is not int or type(j) is not int or not (1 <= i < j <= dim):
-                raise ValueError(f"relation key ({i!r},{j!r}) must be ints 1 <= i < j <= {dim}")
-            for idx, _ in value.terms:
-                if idx > dim:
-                    raise ValueError(f"relation ({i},{j}) hits e_{idx} above cutoff {dim}")
-            if not value.is_zero:
-                table[(i, j)] = value
-        self.dim = dim
-        self.name = name
-        self._table = table
-
-    def bracket_basis(self, i: int, j: int) -> LieElement:
-        if not (1 <= i <= self.dim and 1 <= j <= self.dim):
-            raise ValueError(f"basis index out of range: ({i},{j}) with cutoff {self.dim}")
-        if i == j:
-            return ZERO
-        if i < j:
-            return self._table.get((i, j), ZERO)
-        return -self._table.get((j, i), ZERO)
-
-    def bracket(self, a: LieElement, b: LieElement) -> LieElement:
-        return LieElement._sum((ca * cb, self.bracket_basis(i, j))
-                               for i, ca in a.terms for j, cb in b.terms)
-
-    def jacobi_defect(self, i: int, j: int, k: int) -> LieElement:
-        """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
-        ei, ej, ek = (LieElement.basis(m) for m in (i, j, k))
-        return LieElement._sum((1, self.bracket(self.bracket(x, y), z))
-                               for x, y, z in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)))
-
-    def relations(self) -> Iterator[tuple[int, int, LieElement]]:
-        """Stored nonzero relations, sorted by (i, j)."""
-        for (i, j) in sorted(self._table):
-            yield i, j, self._table[(i, j)]
-
-    def __repr__(self) -> str:
-        label = self.name or "structure"
-        return f"<LieStructure {label} dim={self.dim} relations={len(self._table)}>"
-
-
 def _chain_relations(n: int) -> dict[tuple[int, int], LieElement]:
     # [e_1, e_i] = e_{i+1}, the backbone every fixture shares.
     return {(1, i): LieElement.basis(i + 1) for i in range(2, n)}
 
 
-def _fixture_m1(n: int) -> LieStructure:
+def _fixture_m1(n: int) -> tuple[dict, str]:
     if n < 6 or n % 2:
         raise ValueError("m1 requires even dimension n = 2k >= 6")
     rel = _chain_relations(n)
@@ -115,10 +65,10 @@ def _fixture_m1(n: int) -> LieStructure:
     # [e_{k-l}, e_{k+1+l}] = (-1)^l e_{2k} for l = 0..k-2.
     for l in range(k - 1):
         rel[(k - l, k + 1 + l)] = LieElement.basis(n, (-1) ** l)
-    return LieStructure(n, rel, name=f"m1({n})")
+    return rel, f"m1({n})"
 
 
-def _fixture_mk(n: int, k: int) -> LieStructure:
+def _fixture_mk(n: int, k: int) -> tuple[dict, str]:
     """m_k on the gapped basis e_1, e_k, e_{k+1}, ...; m_2 is the k = 2 case."""
     if k < 2:
         raise ValueError("mk requires k >= 2")
@@ -127,10 +77,10 @@ def _fixture_mk(n: int, k: int) -> LieStructure:
     rel = {(1, i): LieElement.basis(i + 1) for i in range(k, n)}
     for i in range(k + 1, n + 1 - k):
         rel[(k, i)] = LieElement.basis(i + k)
-    return LieStructure(n, rel, name=f"m{k}({n})")
+    return rel, f"m{k}({n})"
 
 
-def _fixture_Lk(n: int, k: int) -> LieStructure:
+def _fixture_Lk(n: int, k: int) -> tuple[dict, str]:
     """Positive-part Witt relations [e_i, e_j] = (j - i) e_{i+j} for i, j >= k."""
     if k < 1:
         raise ValueError("Lk requires k >= 1")
@@ -138,13 +88,13 @@ def _fixture_Lk(n: int, k: int) -> LieStructure:
     for i in range(k, n + 1):
         for j in range(i + 1, n + 1 - i):
             rel[(i, j)] = LieElement.basis(i + j, j - i)
-    return LieStructure(n, rel, name=f"L{k}({n})")
+    return rel, f"L{k}({n})"
 
 
 _LACUNA_BASES = ("m0", "m2", "L1")
 
 
-def _fixture_lacuna(n: int, s: int, base: str) -> LieStructure:
+def _fixture_lacuna(n: int, s: int, base: str) -> tuple[dict, str]:
     """Subalgebra spanned by e_1 and e_{s+2}..e_n inside a graded base fixture.
 
     The grading components 2..s+1 are empty: a lacuna of length s.
@@ -153,22 +103,22 @@ def _fixture_lacuna(n: int, s: int, base: str) -> LieStructure:
         raise ValueError("lacuna gap s must be >= 1")
     if base not in _LACUNA_BASES:
         raise ValueError(f"lacuna base must be one of {_LACUNA_BASES}")
-    parent = make_fixture(base, n)
+    parent, _ = _FIXTURES[base][0](n)
     allowed = {1} | set(range(s + 2, n + 1))
     rel: dict[tuple[int, int], LieElement] = {}
-    for i, j, value in parent.relations():
+    for (i, j), value in parent.items():
         if i in allowed and j in allowed:
             # closure: targets of a graded bracket never fall back into the gap
             for idx, _ in value.terms:
                 if idx not in allowed:
                     raise ValueError(f"gap {s} does not give a subalgebra of {base}")
             rel[(i, j)] = value
-    return LieStructure(n, rel, name=f"lacuna{s}-of-{base}({n})")
+    return rel, f"lacuna{s}-of-{base}({n})"
 
 
-# name -> (builder, the parameters it takes after n, in the builder's order)
+# name -> (builder of (relations, label), the parameters it takes after n, in its order)
 _FIXTURES = {
-    "m0": (lambda n: LieStructure(n, _chain_relations(n), name=f"m0({n})"), ()),
+    "m0": (lambda n: (_chain_relations(n), f"m0({n})"), ()),
     "m1": (_fixture_m1, ()),
     "m2": (lambda n: _fixture_mk(n, 2), ()),
     "mk": (_fixture_mk, ("k",)),
@@ -179,8 +129,8 @@ _FIXTURES = {
 
 
 def make_fixture(name: str, n: int, k: int | None = None, s: int | None = None,
-                 base: str | None = None) -> LieStructure:
-    """Build one of the stock structures at cutoff n.
+                 base: str | None = None):
+    """Build one of the stock structures at cutoff n, a cochains.LieStructure.
 
     Names: m0, m1, m2, mk (needs k >= 2), L1, Lk (needs k >= 1),
     lacuna-of (needs gap s and base in m0/m2/L1).  A parameter the name
@@ -200,4 +150,5 @@ def make_fixture(name: str, n: int, k: int | None = None, s: int | None = None,
     if missing:
         raise ValueError(f"{name} needs parameter {' and '.join(missing)}")
     require_ints(**{param: given[param] for param in takes if param != "base"})
-    return build(n, *(given[param] for param in takes))
+    from .cochains import LieStructure  # cochains imports this module at load time
+    return LieStructure(n, *build(n, *(given[param] for param in takes)))

@@ -13,9 +13,10 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from .cochains import AdjointCochain, d_adjoint, psi2_value
-from .lie import LieElement, LieStructure, _chain_relations
-from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators, var_weight
+from .cochains import LieStructure, d_adjoint, psi2_value
+from .lie import LieElement, _chain_relations
+from .polynomials import (TOP, DeformPolynomial, Variable, check_variable, clear_denominators,
+                          var_weight)
 from .sparse import exact, require_ints
 
 
@@ -147,7 +148,7 @@ def deformed_structure(assignment: Mapping[Variable, Fraction], n: int) -> LieSt
     require_ints(n=n)
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    values = {v: exact(a) for v, a in assignment.items()}
+    values = {check_variable(v): exact(a) for v, a in assignment.items()}
     support = {v: a for v, a in values.items() if a}
     if TOP in support and n % 2:
         raise ValueError("the marker x needs an even dimension")
@@ -163,7 +164,7 @@ def deformed_structure(assignment: Mapping[Variable, Fraction], n: int) -> LieSt
             # LieStructure drops the relations that come out zero
             relations[(a, b)] = LieElement((value[0], coeff * value[1])
                                            for coeff, value in values if value is not None)
-    return LieStructure(n, relations, name="deformed")
+    return LieStructure(n, relations, label="deformed")
 
 
 def jacobi_scan(structure: LieStructure):
@@ -171,15 +172,14 @@ def jacobi_scan(structure: LieStructure):
 
     For an antisymmetric bracket mu, d_mu mu = -2 Jac(mu), Lie algebra or not:
     each value is -1/2 cochains.d_adjoint(mu, mu), whose table holds every nonzero one.
-    On integers, as for the residuals: cochain and base are D*mu, D the common
+    On integers, as for the residuals: mu is D times the structure, D the common
     denominator of clear_denominators, and each value is scaled by -1/(2 D^2).
     """
-    relations = list(structure.relations())
+    relations = structure.nonzero()
     denom, numerators = clear_denominators(
-        {(i, j, idx): c for i, j, value in relations for idx, c in value.terms})
-    n = structure.dim
-    table = {(i, j): LieElement._frozen({idx: numerators[(i, j, idx)] for idx, _ in value.terms})
-             for i, j, value in relations}
-    dmu = d_adjoint(AdjointCochain(2, n, table), LieStructure(n, table))
+        {(i, j, idx): c for (i, j), value in relations for idx, c in value.terms})
+    mu = LieStructure(structure.dim, {
+        (i, j): LieElement._frozen({idx: numerators[(i, j, idx)] for idx, _ in value.terms})
+        for (i, j), value in relations})
     factor = Fraction(-1, 2 * denom * denom)
-    return [(tup, value.scaled(factor)) for tup, value in dmu.nonzero()]
+    return [(tup, value.scaled(factor)) for tup, value in d_adjoint(mu, mu).nonzero()]

@@ -14,8 +14,9 @@ from .polynomials import TOP, DeformPolynomial, check_variable, monomial_runs, v
 from .sparse import exact
 from .systems import X_MODES, Equation, EquationSystem
 
-if TYPE_CHECKING:  # annotations only: gen never loads lie
-    from .lie import LieElement, LieStructure
+if TYPE_CHECKING:  # annotations only: gen never loads cochains or lie
+    from .cochains import LieStructure
+    from .lie import LieElement
 
 
 def canonical_json(doc) -> str:
@@ -233,10 +234,10 @@ def _element_json(elem: LieElement) -> list:
 
 def fixture_doc(structure: LieStructure) -> dict:
     return {
-        "name": structure.name,
+        "name": structure.label,
         "dimension": structure.dim,
         "relations": [{"i": i, "j": j, "value": _element_json(value)}
-                      for i, j, value in structure.relations()],
+                      for (i, j), value in structure.nonzero()],
     }
 
 

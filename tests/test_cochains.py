@@ -4,9 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from filiform.cochains import (AdjointCochain, d_adjoint, linear_combination, psi2,
-                               psi2_value, psi3, psi_top)
-from filiform.lie import ZERO, LieElement, LieStructure, make_fixture
+from filiform.cochains import (AdjointCochain, LieStructure, d_adjoint, linear_combination,
+                               psi2, psi2_value, psi3, psi_top)
+from filiform.lie import ZERO, LieElement, make_fixture
 from filiform.oracle import deformed_structure, jacobi_scan, known_solution
 from filiform.systems import _system_rows, residuals
 
@@ -89,7 +89,7 @@ def test_psi_top_is_m1_difference():
         m0 = make_fixture("m0", n)
         for a in range(1, n):
             for b in range(a + 1, n + 1):
-                expected = m1.bracket_basis(a, b) - m0.bracket_basis(a, b)
+                expected = m1.value(a, b) - m0.value(a, b)
                 assert top.value(a, b) == expected, (k, a, b)
     with pytest.raises(ValueError):
         psi_top(2)
@@ -200,8 +200,11 @@ def test_a_swept_differential_holds_each_value_once():
 ], ids=["int", "str", "float-index", "bool-index", "too-long", "decreasing", "repeated",
         "index-0", "above-n"])
 def test_the_table_refuses_a_bad_key(key, reason):
+    # one rule for every table: a structure's relations are a degree-2 cochain's
     with pytest.raises(ValueError, match=reason):
         AdjointCochain(2, 10, {key: e(5)})
+    with pytest.raises(ValueError, match=reason):
+        LieStructure(10, {key: e(5)})
 
 
 def test_the_table_drops_zero_values():
@@ -233,9 +236,17 @@ def test_a_combination_whose_parts_cancel_holds_an_empty_table():
 @pytest.mark.parametrize("indices", [(True, 3), (2.0, 5), (3, 5.0), (Fraction(3), 5)],
                          ids=["bool", "float-first", "float-second", "fraction"])
 def test_value_refuses_indices_that_are_not_ints(indices):
-    # a bool was read as e_1 and a float second index gave 0
-    with pytest.raises(ValueError, match="must be ints"):
-        psi2(2, 0, 10).value(*indices)
+    # a bool was read as e_1 and a float second index gave 0, in cochains and
+    # in structures alike
+    for cochain in (psi2(2, 0, 10), make_fixture("m0", 7)):
+        with pytest.raises(ValueError, match="must be ints"):
+            cochain.value(*indices)
+
+
+def test_d_adjoint_refuses_a_base_that_is_not_a_bracket():
+    # a degree-3 base used to fail with an AttributeError
+    with pytest.raises(ValueError, match="degree 2"):
+        d_adjoint(psi2(2, 0, 10), psi3(2, 3, 0, 10))
 
 
 def _first_slot(f, vector, *rest):
@@ -290,7 +301,7 @@ def _wild(size, seed=8):
                 indices.append(rng.choice([i, j]))
             relations[(i, j)] = LieElement(
                 (k, Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))) for k in indices)
-    return LieStructure(size, relations, name="wild")
+    return LieStructure(size, relations, label="wild")
 
 
 def _base(name, size):
@@ -304,7 +315,7 @@ def test_the_deformed_base_is_off_the_variety(n):
     # neither a Lie algebra nor graded: brackets land on several weights
     base = _off_variety(n)
     assert jacobi_scan(base)
-    assert len({idx - i - j for i, j, value in base.relations() for idx, _ in value.terms}) > 1
+    assert len({idx - i - j for (i, j), value in base.nonzero() for idx, _ in value.terms}) > 1
 
 
 @pytest.mark.parametrize("name, cochain, extra", [
@@ -347,7 +358,7 @@ def test_d_adjoint_equals_the_differential_formula(name, cochain, extra):
             expected += (-1) ** p * base.bracket(e(idx), cochain.value(*rest))
         for p, r in combinations(range(len(tup)), 2):
             rest = tuple(v for t, v in enumerate(tup) if t not in (p, r))
-            bracket = base.bracket_basis(tup[p], tup[r]).clipped(n)
+            bracket = base.value(tup[p], tup[r]).clipped(n)
             expected += (-1) ** (p + r) * _first_slot(cochain, bracket, *rest)
         assert dc.value_on_basis(tup) == expected.clipped(n), tup
         nonzero += not expected.is_zero

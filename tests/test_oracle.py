@@ -243,6 +243,13 @@ class TestDeformedStructure:
             deformed_structure({TOP: Fraction(1)}, 11)
         deformed_structure({TOP: Fraction(0)}, 11)  # zero marker is dropped
 
+    @pytest.mark.parametrize("key", [(3, True), (2.0, 0), "y"],
+                             ids=["bool-weight", "float-sill", "str"])
+    def test_refuses_a_key_that_is_not_a_variable(self, key):
+        # (3, True) built Psi_{3,1}, (2.0, 0) raised TypeError and "y" failed to unpack
+        with pytest.raises(ValueError, match="not a deformation variable"):
+            deformed_structure({key: 1}, 9)
+
     def test_l1_point_is_witt_up_to_rescaling(self):
         n = 13
         built = deformed_structure(known_solution("L1", bound=6), n)
@@ -254,7 +261,7 @@ class TestDeformedStructure:
             for j in range(i + 1, n + 1):
                 if i + j > n:
                     continue
-                coeff = built.bracket_basis(i, j).coefficient(i + j)
+                coeff = built.value(i, j).coefficient(i + j)
                 assert coeff * lam[i] * lam[j] == (j - i) * lam[i + j], (i, j)
 
 
@@ -266,7 +273,7 @@ def factorial(m):
 
 
 def dict_of(structure):
-    return {(i, j): value for i, j, value in structure.relations()}
+    return {(i, j): value for (i, j), value in structure.nonzero()}
 
 
 class TestJacobiScan:

@@ -18,7 +18,7 @@ ENV = dict(os.environ, PYTHONPATH=str(SRC))
 API = {
     "AdjointCochain": "cochains", "DeformPolynomial": "polynomials",
     "EquationSystem": "systems", "ExtForm": "forms",
-    "LieElement": "lie", "LieStructure": "lie",
+    "LieElement": "lie", "LieStructure": "cochains",
     "TOP": "polynomials", "binomial": "combinatorics", "conclusive_inventory": "oracle",
     "d1": "forms", "d_adjoint": "cochains", "d_trivial": "forms",
     "deformed_structure": "oracle", "dims_report": "systems", "dminus1": "forms",
@@ -50,6 +50,7 @@ LOADS = [
     (("gen", "--dim", "12", "--format", "json"), DIMS | {"serialize"}),
     (("verify-oracle", "--max-total", "12"), DIMS | ORACLE),
     (("check", "--dim", "12", "--known", "L1"), DIMS | ORACLE | {"serialize"}),
+    (("fixture", "--name", "m0", "--dim", "9"), DIMS | {"serialize", "lie", "cochains", "forms"}),
 ]
 
 
