@@ -6,7 +6,7 @@ a table of degree 2, a LieStructure, and d_adjoint takes any degree-2 cochain
 as its base.  Evaluation on arbitrary index tuples routes through the
 permutation sign, and the standard weighted cocycles hold no tuple containing
 index 1 (their scalar parts have no e^1 factor).  Every constructor here
-builds its table once, and d_adjoint scatters c's table into dc's.
+builds its table once; d_adjoint scatters c's table into dc's on integers.
 
 The weight-s degree-2 cocycle attached to sill index j has the closed form
     Psi_{j,s}(e_k, e_m) = (-1)^{j-k} C(m-j-1, j-k) e_{m+k+s},  k < m,
@@ -24,6 +24,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import lt
 from typing import Iterable, Mapping
 
@@ -55,6 +56,8 @@ class AdjointCochain:
             if type(tup) is not tuple or any(type(idx) is not int for idx in tup):
                 raise ValueError(f"basis indices must be ints, in a tuple of ints; got {tup!r}")
             self._check_tuple(tup)
+            if not isinstance(value, LieElement):
+                raise ValueError(f"the value on {tup} must be a LieElement, got {value!r}")
             if value.terms and value.terms[-1][0] > dim:
                 raise ValueError(f"basis index out of range: the value on {tup} has "
                                  f"e_{value.terms[-1][0]} above cutoff {dim}")
@@ -228,26 +231,33 @@ def d_adjoint(c: AdjointCochain, base: AdjointCochain) -> AdjointCochain:
     c(T) to (T without T[t]) with a and b inserted, for each bracket [e_a, e_b]
     (a < b) with a term coeff at T[t].  Brackets are clipped at n, and one with
     b > n is never read, since c's values and arguments stop at e_n.  The
-    nonzero sums are dc's table.
+    nonzero sums are dc's table.  They run on numerators over each table's
+    lcm, denom_b and denom_c, and become Fractions only if either is above 1.
     """
     if base.degree != 2:
         raise ValueError(f"the base must be a bracket, of degree 2, not of degree {base.degree}")
     if base.dim < c.dim:
         raise ValueError("base structure cutoff below cochain cutoff")
     n, q = c.dim, c.degree
+    denom_b, denom_c = (lcm(*(x.denominator for value in table.values() for _, x in value.terms))
+              for table in (base._memo, c._memo))
     toward: dict[int, list] = {}  # j -> [(idx, terms of [e_idx, e_j])], idx <= n
     lands: dict[int, list] = {}  # idx -> [(a, b, coeff of e_idx in [e_a, e_b])], a < b <= n
     for (a, b), value in base.nonzero():
         terms = value.clipped(n).terms
         if b > n or not terms:
             continue
+        if denom_b > 1:
+            terms = tuple((k, x.numerator * (denom_b // x.denominator)) for k, x in terms)
         toward.setdefault(b, []).append((a, terms))
         toward.setdefault(a, []).append((b, tuple((k, -v) for k, v in terms)))
         for idx, coeff in terms:
             lands.setdefault(idx, []).append((a, b, coeff))
-    accs: defaultdict[tuple[int, ...], dict[int, Fraction]] = defaultdict(dict)
+    accs: defaultdict[tuple[int, ...], dict[int, int]] = defaultdict(dict)
     for tup, value in c._memo.items():
         terms = value.terms
+        if denom_c > 1:
+            terms = tuple((k, x.numerator * (denom_c // x.denominator)) for k, x in terms)
         for j, cj in terms:
             for idx, row in toward.get(j, ()):
                 pos = bisect_left(tup, idx)
@@ -271,7 +281,10 @@ def d_adjoint(c: AdjointCochain, base: AdjointCochain) -> AdjointCochain:
                 acc = accs[rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]]
                 for k, v in terms:
                     acc[k] = acc.get(k, 0) + f * v
-    values = {tup: LieElement._frozen(acc) for tup, acc in accs.items() if any(acc.values())}
+    denom = denom_b * denom_c
+    values = {tup: LieElement._frozen(acc if denom == 1 else
+                                      {k: Fraction(v, denom) for k, v in acc.items()})
+              for tup, acc in accs.items() if any(acc.values())}
     return AdjointCochain(q + 1, n, values, label=f"d({c.label})" if c.label else "d(cochain)")
 
 

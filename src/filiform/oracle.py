@@ -4,7 +4,8 @@ oracle_coefficient expands the square of a symbolic linear combination of
 basis cocycles straight from the cyclic-sum definition of the bracket, on
 the integer (target, coeff) pairs of psi2_value.  It shares only that
 closed form and exact arithmetic with systems.py; agreement of the two
-routes is the main correctness gate of the whole package.
+routes is the main correctness gate of the whole package.  evaluate_system
+sums plain exact values, and jacobi_scan is one cochains.d_adjoint call.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from typing import Mapping
 
 from .cochains import LieStructure, d_adjoint, psi2_value
 from .lie import LieElement, _chain_relations
-from .polynomials import (TOP, DeformPolynomial, Variable, check_variable, clear_denominators,
-                          var_weight)
+from .polynomials import TOP, DeformPolynomial, Variable, check_variable, var_weight
 from .sparse import exact, require_ints
 
 
 def _label_total(j: int, q: int, r: int, with_top: bool) -> int:
     """Total index j+2q+1+r of a label that the marker setting can reach."""
     require_ints(j=j, q=q, r=r)
+    if type(with_top) is not bool:  # a truthy string would add the marker
+        raise ValueError(f"flags must be bools, as labels must be ints; got {with_top=}")
     if not (2 <= j < q):
         raise ValueError(f"label needs 2 <= j < q, got j={j}, q={q}")
     if r < -1:
@@ -131,8 +133,7 @@ def known_solution(name: str, t=1, k: int | None = None,
 
 def evaluate_system(system, assignment: Mapping[Variable, Fraction]):
     """Exact residual of every equation, in system order; missing vars are 0."""
-    cleared = clear_denominators(assignment)  # once for all rows
-    return [(eq.label, eq.poly._cleared_value(*cleared)) for eq in system]
+    return [(eq.label, eq.poly.evaluate(assignment)) for eq in system]
 
 
 def first_violation(system, assignment: Mapping[Variable, Fraction]):
@@ -172,14 +173,6 @@ def jacobi_scan(structure: LieStructure):
 
     For an antisymmetric bracket mu, d_mu mu = -2 Jac(mu), Lie algebra or not:
     each value is -1/2 cochains.d_adjoint(mu, mu), whose table holds every nonzero one.
-    On integers, as for the residuals: mu is D times the structure, D the common
-    denominator of clear_denominators, and each value is scaled by -1/(2 D^2).
     """
-    relations = structure.nonzero()
-    denom, numerators = clear_denominators(
-        {(i, j, idx): c for (i, j), value in relations for idx, c in value.terms})
-    mu = LieStructure(structure.dim, {
-        (i, j): LieElement._frozen({idx: numerators[(i, j, idx)] for idx, _ in value.terms})
-        for (i, j), value in relations})
-    factor = Fraction(-1, 2 * denom * denom)
-    return [(tup, value.scaled(factor)) for tup, value in d_adjoint(mu, mu).nonzero()]
+    return [(tup, value.scaled(Fraction(-1, 2)))
+            for tup, value in d_adjoint(structure, structure).nonzero()]

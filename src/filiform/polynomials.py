@@ -3,13 +3,13 @@
 A variable is either the pair (j, s) standing for x_{j,s}, or the string
 "x": the even-dimension marker, which behaves like a variable of weight -1.
 Monomials are sorted variable tuples; coefficients are nonzero integers.
-Assignments map variables to rationals and evaluation is exact.
+Assignments map variables to rationals; evaluate sums plain exact values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import prod
 from typing import Iterable, Mapping, Union
 
 from .sparse import SparseCombination, exact
@@ -72,13 +72,6 @@ def monomial_runs(mono: Monomial) -> list[tuple[Variable, int]]:
     return runs
 
 
-def clear_denominators(values: Mapping) -> tuple[int, dict]:
-    """(D, X): D the lcm of the value denominators and X[key] = D * values[key], an integer."""
-    exacts = {key: exact(x) for key, x in values.items()}
-    denom = lcm(*(x.denominator for x in exacts.values()))
-    return denom, {key: x.numerator * (denom // x.denominator) for key, x in exacts.items()}
-
-
 def _canonical_monomial(mono: Iterable[Variable]) -> Monomial:
     return tuple(sorted((check_variable(v) for v in mono), key=var_key))
 
@@ -126,23 +119,9 @@ class DeformPolynomial(SparseCombination):
 
     def evaluate(self, assignment: Mapping[Variable, Fraction]) -> Fraction:
         """Exact value with missing variables read as 0."""
-        return self._cleared_value(*clear_denominators(assignment))
-
-    def _cleared_value(self, denom: int, numerators: Mapping[Variable, int]) -> Fraction:
-        """Value at x_v = numerators[v] / denom, summed on integers.
-
-        A monomial of degree d contributes c * prod(X) / denom^d, so each
-        degree sums its integer numerators and the row builds one Fraction.
-        """
-        sums: dict[int, int] = {}
-        for mono, coeff in self.terms:
-            value = coeff
-            for v in mono:
-                value *= numerators.get(v, 0)
-            if value:
-                sums[len(mono)] = sums.get(len(mono), 0) + value
-        top = max(sums, default=0)
-        return Fraction(sum(s * denom ** (top - d) for d, s in sums.items()), denom ** top)
+        values = {v: exact(a) for v, a in assignment.items()}
+        return Fraction(sum(coeff * prod(values.get(v, 0) for v in mono)
+                            for mono, coeff in self.terms))
 
     def restricted(self, keep) -> "DeformPolynomial":
         """Sub-polynomial of monomials whose variables all lie in keep."""

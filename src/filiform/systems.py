@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, NamedTuple
 
 from .combinatorics import binomial, partitions_exact
-from .polynomials import TOP, DeformPolynomial, Variable, clear_denominators
-from .sparse import require_ints
+from .polynomials import TOP, DeformPolynomial, Variable
+from .sparse import exact, require_ints
 
 # the marker's partner in the t = r+1 term of a top row: x kept (free),
 # x = 1 (fixed-1), or no such term at all (x = 0)
@@ -187,6 +188,8 @@ class EquationSystem:
 
     def __init__(self, size: int, x_mode: str = "free", truncated: bool = False,
                  equations: Iterable[Equation] | None = None):
+        if type(truncated) is not bool:  # a truthy string would build a truncated system
+            raise ValueError(f"flags must be bools, as sizes must be ints; got {truncated=}")
         _check_dim(size, "truncation bound" if truncated else "dimension")
         if truncated and x_mode != "fixed-0":
             raise ValueError(f"a truncated system has no marker, so its x_mode is 'fixed-0', "
@@ -264,11 +267,13 @@ def system_finite(n: int, x_mode: str = "free") -> EquationSystem:
 
 def residuals(n, assignment) -> list[tuple[tuple[int, int, int], Fraction]]:
     """Residuals of a system at assignment, as oracle.evaluate_system gives them,
-    from the rows' forms: one Fraction per row, no polynomial built.  n is a
-    system's head, or a size that stands for system_finite(n, "free")."""
+    from the rows' forms and summed on the point's numerators over their lcm: one
+    Fraction per row, no polynomial built.  n is a system's head, or a size that
+    stands for system_finite(n, "free")."""
     head = n if isinstance(n, EquationSystem) else EquationSystem(n)  # refuses n < 9
-    denom, numerators = clear_denominators(assignment)
-    get = numerators.get
+    exacts = {v: exact(a) for v, a in assignment.items()}
+    denom = lcm(*(x.denominator for x in exacts.values()))
+    get = {v: x.numerator * (denom // x.denominator) for v, x in exacts.items()}.get
     # the marker's numerator over denom: the point's x, x = 1 or x = 0
     marker = {"free": get(TOP, 0), "fixed-1": denom, "fixed-0": 0}[head.x_mode]
     forms, out = _Forms(), []

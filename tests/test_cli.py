@@ -403,6 +403,20 @@ def test_check_refuses_unknown_assignment_keys(capsys, tmp_path, doc, key):
     assert f"unknown key '{key}'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"entries": [{"j": 2, "s": 0, "value": "1/3"}], "entries": []}', "entries"),
+    ('{"entries": [{"j": 2, "s": 0, "value": "1/3", "value": "5"}]}', "value"),
+], ids=["document", "entry"])
+def test_check_refuses_a_repeated_key(capsys, tmp_path, text, key):
+    # json keeps a repeated key's last value: the first file checked the empty
+    # point and verified, the second checked x_{2,0} = 5
+    src = tmp_path / "assign.json"
+    src.write_text(text)
+    code, out, err = run(capsys, "check", "--dim", "12", "--assign", str(src))
+    assert code == 2 and out == ""
+    assert f"repeats the key '{key}'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("entries", [5, None])
 def test_check_refuses_non_list_entries(capsys, tmp_path, entries):
     src = tmp_path / "assign.json"

@@ -207,6 +207,16 @@ def test_the_table_refuses_a_bad_key(key, reason):
         LieStructure(10, {key: e(5)})
 
 
+@pytest.mark.parametrize("value", [5, "e4", Fraction(1, 2), None],
+                         ids=["int", "str", "fraction", "none"])
+def test_the_table_refuses_a_value_that_is_not_a_lie_element(value):
+    # such a value used to raise AttributeError at .terms
+    with pytest.raises(ValueError, match=r"value on \(2, 3\) must be a LieElement"):
+        AdjointCochain(2, 10, {(2, 3): value})
+    with pytest.raises(ValueError, match=r"value on \(2, 3\) must be a LieElement"):
+        LieStructure(10, {(2, 3): value})
+
+
 def test_the_table_drops_zero_values():
     c = AdjointCochain(2, 10, {(2, 3): ZERO, (2, 4): e(6), (3, 4): e(7) - e(7)})
     assert c._memo == {(2, 4): e(6)}
@@ -241,6 +251,20 @@ def test_value_refuses_indices_that_are_not_ints(indices):
     for cochain in (psi2(2, 0, 10), make_fixture("m0", 7)):
         with pytest.raises(ValueError, match="must be ints"):
             cochain.value(*indices)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("name", ["m0", "m1", "m2", "L1"])
+def test_d_adjoint_of_integer_tables_keeps_ints(name, degree):
+    # an integer table over an integer base is summed as it stands: every
+    # coefficient of dc is an int, none a Fraction of denominator 1
+    n = 10
+    rng = random.Random(degree)
+    table = {tup: LieElement((i, rng.randint(-9, 9)) for i in rng.sample(range(1, n + 1), 2))
+             for tup in combinations(range(1, n + 1), degree) if rng.random() < 0.5}
+    dc = d_adjoint(AdjointCochain(degree, n, table), make_fixture(name, n))
+    coefficients = [c for _, value in dc.nonzero() for _, c in value.terms]
+    assert coefficients and all(type(c) is int for c in coefficients)
 
 
 def test_d_adjoint_refuses_a_base_that_is_not_a_bracket():

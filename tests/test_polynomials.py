@@ -97,6 +97,15 @@ def test_evaluate_missing_is_zero():
     assert p.evaluate({(3, 0): Fraction(1, 3)}) == Fraction(1, 3)
 
 
+def test_evaluate_returns_a_fraction_at_an_integer_point():
+    # the sum of plain int values is an int; evaluate returns it as a Fraction
+    p = 3 * (x30 * x30) - 2 * (x20 * x40) - x30 * x40
+    for point, expected in [({(2, 0): 1, (3, 0): 2, (4, 0): 5}, -8), ({(3, 0): 1}, 3), ({}, 0)]:
+        value = p.evaluate(point)
+        assert type(value) is Fraction and value == expected
+    assert type(P().evaluate({(2, 0): 4})) is Fraction
+
+
 def test_restricted():
     p = x20 * x30 + x30 * x40 + top * x20
     r = p.restricted({(2, 0), (3, 0)})
@@ -185,7 +194,7 @@ some_values = st.one_of(st.just(0), st.integers(-6, 6),
 
 @given(mixed_polys, st.dictionaries(some_variables, some_values, max_size=6))
 def test_evaluate_equals_naive_fraction_sum(p, point):
-    # evaluate sums integer numerators over one common denominator
+    # evaluate sums the point's plain exact values
     naive = Fraction(0)
     for mono, coeff in p.terms:
         value = Fraction(coeff)

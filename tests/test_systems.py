@@ -445,10 +445,14 @@ def test_rows_are_built_in_term_order(partner):
     lambda: system_finite(10.0), lambda: residuals(10.0, {}), lambda: dims_report(10.0),
     lambda: closed_form_counts(11.0), lambda: conclusive_inventory(2, 3, 0.0),
     lambda: conclusive_inventory(2.0, 3, 0), lambda: deformed_structure({(2, 0): 1}, 12.0),
+    lambda: oracle_coefficient(2, 3, 1, with_top="no"),
+    lambda: conclusive_inventory(2, 3, 1, with_top=1),
+    lambda: EquationSystem(12, "fixed-0", truncated="no"),
 ], ids=["f_poly-bool-r", "g_poly-float-q", "oracle_coefficient-bool-r", "system-float-size",
         "truncated-float-size", "system-bool-size", "system_finite-float", "residuals-float",
         "dims_report-float", "closed_form_counts-float", "inventory-float-r",
-        "inventory-float-j", "deformed_structure-float-n"])
+        "inventory-float-j", "deformed_structure-float-n", "oracle_coefficient-str-with_top",
+        "inventory-int-with_top", "system-str-truncated"])
 def test_entry_points_refuse_non_int_labels_and_sizes(call):
     # f_poly(2, 3, True) and oracle_coefficient(2, 3, True) used to return
     # F_{2,3,1}; a float size raised TypeError from deep inside
