@@ -9,9 +9,7 @@ of the package.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from collections import Counter
 from contextlib import nullcontext
 
 X_MODE_FLAG = {"free": "free", "0": "fixed-0", "1": "fixed-1"}
@@ -62,13 +60,6 @@ def cmd_dims(args) -> int:
     return 0
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object from its pairs, refusing a repeated key where json keeps the last."""
-    if repeated := [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]:
-        raise ValueError(f"assignment file repeats the key {repeated[0]!r} in one object")
-    return dict(pairs)
-
-
 def _load_assignment(args) -> dict:
     from . import oracle, serialize
     if args.k is not None and args.known != "mk":
@@ -79,12 +70,7 @@ def _load_assignment(args) -> dict:
         # the largest m with x_{m,0} (L1) or x_{m,2} (L1-lacuna2) in the inventory
         bound = {"L1": (args.dim - 1) // 2, "L1-lacuna2": (args.dim - 3) // 2}.get(args.known)
         return oracle.known_solution(args.known, 1, k=args.k, bound=bound)
-    with open(args.assign, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"assignment file is not valid JSON: {exc}") from None
-    return serialize.parse_assignment(doc)
+    return serialize.parse_assignment(serialize.load_json(args.assign, "assignment file"))
 
 
 def cmd_check(args) -> int:

@@ -5,7 +5,8 @@ basis cocycles straight from the cyclic-sum definition of the bracket, on
 the integer (target, coeff) pairs of psi2_value.  It shares only that
 closed form and exact arithmetic with systems.py; agreement of the two
 routes is the main correctness gate of the whole package.  evaluate_system
-sums plain exact values, and jacobi_scan is one cochains.d_adjoint call.
+sums plain exact values; deformed_structure is m0 plus linear_combination of
+the psi2 tables, and jacobi_scan is one cochains.d_adjoint call on it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from .cochains import LieStructure, d_adjoint, psi2_value
-from .lie import LieElement, _chain_relations
+from .cochains import LieStructure, d_adjoint, linear_combination, psi2, psi2_value
+from .lie import make_fixture
 from .polynomials import TOP, DeformPolynomial, Variable, check_variable, var_weight
 from .sparse import exact, require_ints
 
@@ -145,7 +146,7 @@ def first_violation(system, assignment: Mapping[Variable, Fraction]):
 
 
 def deformed_structure(assignment: Mapping[Variable, Fraction], n: int) -> LieStructure:
-    """Chain bracket plus the assigned cocycle combination, cut at e_n."""
+    """Chain bracket m0 plus the assigned cocycle combination, cut at e_n."""
     require_ints(n=n)
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -153,19 +154,12 @@ def deformed_structure(assignment: Mapping[Variable, Fraction], n: int) -> LieSt
     support = {v: a for v, a in values.items() if a}
     if TOP in support and n % 2:
         raise ValueError("the marker x needs an even dimension")
-    cocycles = []
+    parts = [(1, make_fixture("m0", n))]
     for v, coeff in support.items():
         l, t = (n // 2, -1) if v == TOP else v
         if v == TOP or 2 * l + 1 + t <= n:  # a sill above the cutoff is unreachable
-            cocycles.append((coeff, l, t))
-    relations = _chain_relations(n)
-    for a in range(2, n):
-        for b in range(a + 1, n + 1):
-            values = ((coeff, psi2_value(l, t, n, a, b)) for coeff, l, t in cocycles)
-            # LieStructure drops the relations that come out zero
-            relations[(a, b)] = LieElement((value[0], coeff * value[1])
-                                           for coeff, value in values if value is not None)
-    return LieStructure(n, relations, label="deformed")
+            parts.append((coeff, psi2(l, t, n)))
+    return LieStructure(n, dict(linear_combination(parts, 2, n).nonzero()), label="deformed")
 
 
 def jacobi_scan(structure: LieStructure):

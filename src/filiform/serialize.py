@@ -8,6 +8,7 @@ unchanged.  Rationals travel as strings to keep floats out of the files.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from .polynomials import TOP, DeformPolynomial, check_variable, monomial_runs, var_cas, var_key
@@ -21,6 +22,23 @@ if TYPE_CHECKING:  # annotations only: gen never loads cochains or lie
 
 def canonical_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def load_json(path: str, where: str):
+    """The JSON document in the file at path; where names the file in each refusal.
+
+    json keeps a repeated key's last value; here a repeat is refused.
+    """
+    def unique_keys(pairs: list) -> dict:
+        if repeated := [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]:
+            raise ValueError(f"{where} repeats the key {repeated[0]!r} in one object")
+        return dict(pairs)
+
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle, object_pairs_hook=unique_keys)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where} is not valid JSON: {exc}") from None
 
 
 def fraction_str(value) -> str:

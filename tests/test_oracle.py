@@ -15,7 +15,7 @@ from filiform.oracle import (conclusive_inventory, deformed_structure, evaluate_
                              first_violation, jacobi_scan, known_solution,
                              oracle_coefficient)
 from filiform.polynomials import TOP, DeformPolynomial
-from filiform.systems import f_poly, system_finite, system_truncated
+from filiform.systems import f_poly, residuals, system_finite, system_truncated
 
 from test_cochains import _wild
 
@@ -264,6 +264,44 @@ class TestDeformedStructure:
                 coeff = built.value(i, j).coefficient(i + j)
                 assert coeff * lam[i] * lam[j] == (j - i) * lam[i + j], (i, j)
 
+    @staticmethod
+    def expanded(assignment, n):
+        # the reference: m0 plus Psi_p expanded pair by pair over psi2_value
+        cocycles = [(Fraction(a), *((n // 2, -1) if v == TOP else v))
+                    for v, a in assignment.items() if a]
+        cocycles = [(c, l, t) for c, l, t in cocycles if t == -1 or 2 * l + 1 + t <= n]
+        table = {(1, i): e(i + 1) for i in range(2, n)}
+        for a, b in combinations(range(2, n + 1), 2):
+            value = LieElement((hit[0], c * hit[1]) for c, l, t in cocycles
+                               if (hit := psi2_value(l, t, n, a, b)) is not None)
+            if not value.is_zero:
+                table[(a, b)] = value
+        return table
+
+    @staticmethod
+    def points(n):
+        # seeded rational points of 0-6 pairs, one with a sill above n, and the
+        # marker at even n >= 4, alone and with pairs
+        rng = random.Random(n * 7919)
+        fits = [(l, t) for l in range(2, n) for t in range(n) if 2 * l + 1 + t <= n]
+        above = (2, max(n - 4, 0))  # sill n + 1, or 5 > n at n = 3 and 4
+        points = []
+        for size in range(7):
+            support = rng.sample(fits, min(size, len(fits)))
+            points.append({v: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                           for v in support})
+        points.append({above: Fraction(3, 2)})
+        points.append({**points[3], above: Fraction(-5), (2, 0): Fraction(0)})
+        if n % 2 == 0 and n >= 4:
+            points.append({TOP: Fraction(-2, 3)})
+            points.append({**points[2], **points[4], TOP: Fraction(7, 5)})
+        return points
+
+    @pytest.mark.parametrize("n", range(3, 26))
+    def test_matches_the_pairwise_expansion(self, n):
+        for point in self.points(n):
+            assert dict_of(deformed_structure(point, n)) == self.expanded(point, n), point
+
 
 def factorial(m):
     out = 1
@@ -335,6 +373,39 @@ def test_first_violation_of_nonextendable_families():
     # residual of the first is 126 u^2 - 28 u t
     fam2b = {(7, 2): Fraction(1, 3), (8, 2): Fraction(2)}
     assert first_violation(system, fam2b) == ((2, 7, 4), Fraction(-14, 3))
+
+
+def _fam2(u, t):
+    # (0,0,0,0,0,u,t) on the x_{j,2}, with x_{9,2} chosen to clear F_{2,7,4}
+    return {(7, 2): Fraction(u), (8, 2): Fraction(t), (9, 2): 28 * Fraction(t) - 126 * Fraction(u)}
+
+
+def _fam3(t):
+    # (0,0,0,0,t,4t,14t) on the x_{j,2}, with x_{9,2} chosen to clear F_{2,7,4}
+    t = Fraction(t)
+    return {(6, 2): t, (7, 2): 4 * t, (8, 2): 14 * t, (9, 2): 98 * t}
+
+
+@pytest.mark.parametrize("point, n, failures", [
+    *((_fam2(u, t), 22, {(3, 7, 4): 756 * u * u - 140 * u * t})
+      for u, t in [(3, 5), (1, 0), (2, 7), (Fraction(1, 3), 2)]),
+    *((_fam3(t), 22, {(3, 7, 4): -1144 * t * t, (5, 6, 4): -286 * t * t})
+      for t in [1, 2, Fraction(-1, 2)]),
+    *(({(8, 2): Fraction(t)}, 23, {(2, 8, 4): -210 * t * t}) for t in [1, 2, Fraction(-1, 2)]),
+], ids=["fam2-3-5", "fam2-1-0", "fam2-2-7", "fam2-third-2", "fam3-1", "fam3-2", "fam3-half",
+        "fam2-u0-1", "fam2-u0-2", "fam2-u0-half"])
+def test_the_weight4_families_pass_f274_and_fail_one_total_later(point, n, failures):
+    # F_{2,7,4} stalls both families extended by zeros, but it is linear in
+    # x_{9,2}: with that value set, both routes read every total below n clean,
+    # and both read the same first failures at total n.  With u = 0, fam2
+    # needs no x_{9,2} and first fails at total 23.
+    for size in range(21, n):
+        assert not any(value for _, value in residuals(size, point)), size
+        assert jacobi_scan(deformed_structure(point, size)) == [], size
+    assert {label: value for label, value in residuals(n, point) if value} == failures
+    scanned = dict(jacobi_scan(deformed_structure(point, n)))
+    for (j, q, r), value in failures.items():
+        assert scanned[(j, q, q + 1)].coefficient(n) == value, (j, q, r)
 
 
 @pytest.mark.parametrize("n", [11, 12, 14, 20, 25, 31])

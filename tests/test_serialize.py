@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from filiform.cli import main
 from filiform.lie import make_fixture
 from filiform.oracle import deformed_structure, evaluate_system, jacobi_scan
 from filiform.polynomials import TOP
 from filiform.serialize import (_variable_json, assignment_doc, canonical_json,
-                                fixture_doc, fraction_str, parse_assignment,
+                                fixture_doc, fraction_str, load_json, parse_assignment,
                                 parse_system_doc, report_doc, system_doc,
                                 write_system_cas, write_system_json, write_system_text)
 from filiform.systems import (X_MODES, EquationSystem, declared_variables, system_finite,
@@ -26,6 +27,21 @@ def test_canonical_json_is_deterministic():
     assert out == canonical_json({"a": {"x": None, "y": "2/3"}, "b": [1, 2]})
     assert out.endswith("\n")
     assert json.loads(out) == doc
+
+
+def test_load_json_refuses_a_repeated_coefficient(tmp_path):
+    # json keeps the last value of a repeated key: with "coeff": "7" after the
+    # first monomial's "coeff": "-2", gen's document read as 7*x_{2,0}*x_{4,0} + ...
+    path = tmp_path / "gen-12.json"
+    assert main(["gen", "--dim", "12", "--format", "json", "--output", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    doctored = text.replace('"coeff": "-2",', '"coeff": "-2",\n          "coeff": "7",', 1)
+    assert doctored != text
+    path.write_text(doctored, encoding="utf-8")
+    first = parse_system_doc(json.loads(doctored)).equations[0].poly
+    assert first.text() == "7*x_{2,0}*x_{4,0} + 3*x_{3,0}^2 - x_{3,0}*x_{4,0}"
+    with pytest.raises(ValueError, match="system document repeats the key 'coeff'"):
+        load_json(path, "system document")
 
 
 @pytest.mark.parametrize("system", [system_finite(12, "free"),
